@@ -15,14 +15,10 @@
 //! * [`regions`] — SESE subgraph chains inside divergent regions
 //!   (Definitions 1–4 of the paper),
 //! * [`verify`] — full SSA verification (structure + dominance),
-//! * [`manager`] — a memoizing [`AnalysisManager`] with reconcile-on-read
-//!   invalidation, the cache behind the `darm-pipeline` pass manager:
-//!   every cached entry revalidates against its own journal window at
-//!   query time, and every analysis — dominator/post-dominator trees,
-//!   [`Cfg`] (RPO splice below the edit window's anchor),
-//!   [`DivergenceAnalysis`] (changed-closure re-derivation) and
-//!   [`Liveness`] — has an in-place update path behind a profitability
-//!   gate, so no analysis is unconditionally dropped anymore.
+//! * [`manager`] — a memoizing [`AnalysisManager`], the cache behind the
+//!   `darm-pipeline` pass manager: every cached entry is checked against
+//!   the function's mutation journal at query time, and anything the
+//!   window may have changed is recomputed from scratch.
 
 pub mod cfg;
 pub mod divergence;
@@ -36,7 +32,7 @@ pub mod verify;
 
 pub use cfg::Cfg;
 pub use divergence::DivergenceAnalysis;
-pub use dom::{DomTree, EditSummary, PostDomTree};
+pub use dom::{DomTree, PostDomTree};
 pub use dot::to_dot;
 pub use liveness::{max_pressure, InstSet, Liveness};
 pub use loops::LoopInfo;

@@ -1,10 +1,9 @@
-//! Compile-time benchmark for the incremental-analysis rework: end-to-end
-//! meld compile time (the full Algorithm 1 fixpoint with cleanups) on the
-//! synthetic fig. 8 kernel sweep, the incremental driver vs the frozen
-//! PR 2 driver ([`meld_function_pr2`]) — the pass-manager-era architecture
-//! with invalidate-everything analysis management, divergence rebuilding
-//! its own post-dominator tree, and whole-function round-based cleanup
-//! scans, kept verbatim for differential timing.
+//! Compile-time benchmark of the meld driver: end-to-end meld compile time
+//! (the full Algorithm 1 fixpoint with cleanups) on the synthetic fig. 8
+//! kernel sweep, the shipped driver vs the frozen PR 2 driver
+//! ([`meld_function_pr2`], kept in `darm_bench::reference`) — the
+//! pass-manager-era architecture with divergence rebuilding its own
+//! post-dominator tree and whole-function round-based cleanup scans.
 //!
 //! Methodology: the two drivers are timed interleaved (per case, per
 //! round) with the *minimum* over rounds as the estimator — scheduler and
@@ -12,43 +11,28 @@
 //! cost measured separately and excluded, so the ratio reflects meld
 //! compile time alone.
 //!
-//! Bounds (asserted in measured mode):
-//! * **Hard floor ≥ 1.20×** geomean — raised from 1.15 once the last two
-//!   eager analyses went incremental: `Cfg` splices its RPO below the edit
-//!   window's DFS-tree anchor instead of rebuilding, and
-//!   `DivergenceAnalysis` re-derives only the window's changed closure,
-//!   both behind profitability gates and both bit-identical to fresh
-//!   recomputes. Together with the reconcile-on-read manager (each cached
-//!   entry revalidates against its own journal window at query time) and
-//!   the deletion-capable dominator updates, no analysis is
-//!   unconditionally dropped anymore. Measured ≈1.25× end-to-end; the
-//!   remaining gap to the PR 2 driver is the melding planner/codegen
-//!   shared by both (Amdahl) — on the 32–85-instruction paper kernels the
-//!   profitability gates rightly choose the plain recompute for most
-//!   windows, so the floor stays below the aspirational 1.35×. The phases
-//!   this line of work attacked measure on their own as the no-op rescan
-//!   figure below (≈1.6×, floor ≥ 1.50×).
+//! Bounds (asserted in measured mode): **≥ 1.20×** geomean end to end and
+//! **≥ 1.50×** on the no-op rescan of an already-melded function (analyses
+//! plus detection, zero melds). The gain over the PR 2 driver comes from
+//! the analysis cache sharing one post-dominator tree between detection
+//! and divergence, the allocation-free divergence sweep, and the worklist
+//! cleanups; the melding planner/codegen is shared by both drivers.
 //!
 //! `cargo bench --bench meld_pipeline` — measure.
 //! `cargo bench --bench meld_pipeline -- --test` — smoke mode: bit-identity
-//! cross-check of the incremental driver vs the frozen PR 2 driver vs the
+//! cross-check of the shipped driver vs the frozen PR 2 driver vs the
 //! pre-pipeline reference oracle on every fig8 kernel × {DARM, BF}, a
 //! reduced-iteration no-regression guard (geomean ≥ 1.0× with a 5%
-//! timer-noise allowance), an in-place-update check (deletion windows
-//! patch dominator trees, shape windows splice the `Cfg`, and divergence
-//! reconciles over changed closures — all three counters must be nonzero
-//! on the sweep), and a smoke-sized rescan ratio — the CI gate records
-//! `meld_pipeline/smoke_vs_pr2` and `meld_pipeline/rescan_vs_pr2` for the
-//! perf-gate trajectory. With `DARM_BENCH_JSON=path` both modes record
-//! their ratios (see `darm_bench::perfjson`).
+//! timer-noise allowance) and a smoke-sized rescan ratio — the CI gate
+//! records `meld_pipeline/smoke_vs_pr2` and `meld_pipeline/rescan_vs_pr2`
+//! for the perf-gate trajectory. With `DARM_BENCH_JSON=path` both modes
+//! record their ratios (see `darm_bench::perfjson`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use darm_bench::{fig8_cases, fig9_cases, geomean, perfjson};
+use darm_bench::reference::{meld_function_pr2, meld_function_reference};
+use darm_bench::{fig8_cases, geomean, perfjson};
 use darm_kernels::BenchCase;
-use darm_melding::{
-    meld_function, meld_function_pr2, meld_function_reference, run_meld_pipeline, MeldConfig,
-};
-use darm_pipeline::PipelineOptions;
+use darm_melding::{meld_function, MeldConfig};
 use std::time::Instant;
 
 /// Times `f` over enough repetitions to fill ~20 ms, returning seconds per
@@ -65,12 +49,12 @@ fn time_per_call(mut f: impl FnMut()) -> f64 {
     t1.elapsed().as_secs_f64() / reps as f64
 }
 
-/// Interleaved min-estimator comparison of the incremental driver vs the
+/// Interleaved min-estimator comparison of the shipped driver vs the
 /// frozen PR 2 driver over `cases`, clone cost excluded. Returns per-case
 /// speedups.
 fn compare(cases: &[BenchCase], config: &MeldConfig, rounds: usize) -> Vec<f64> {
     let big = f64::MAX;
-    let mut t_inc = vec![big; cases.len()];
+    let mut t_meld = vec![big; cases.len()];
     let mut t_pr2 = vec![big; cases.len()];
     let mut t_clone = vec![big; cases.len()];
     for _ in 0..rounds {
@@ -79,7 +63,7 @@ fn compare(cases: &[BenchCase], config: &MeldConfig, rounds: usize) -> Vec<f64> 
             t_clone[i] = t_clone[i].min(time_per_call(|| {
                 std::hint::black_box(f.clone());
             }));
-            t_inc[i] = t_inc[i].min(time_per_call(|| {
+            t_meld[i] = t_meld[i].min(time_per_call(|| {
                 let mut g = f.clone();
                 meld_function(&mut g, config);
             }));
@@ -90,7 +74,7 @@ fn compare(cases: &[BenchCase], config: &MeldConfig, rounds: usize) -> Vec<f64> 
         }
     }
     (0..cases.len())
-        .map(|i| (t_pr2[i] - t_clone[i]) / (t_inc[i] - t_clone[i]))
+        .map(|i| (t_pr2[i] - t_clone[i]) / (t_meld[i] - t_clone[i]))
         .collect()
 }
 
@@ -102,14 +86,14 @@ fn rescan_ratios(cases: &[BenchCase], config: &MeldConfig, rounds: usize) -> Vec
     for case in cases {
         let mut melded = case.func.clone();
         meld_function(&mut melded, config);
-        let mut t_inc = f64::MAX;
+        let mut t_meld = f64::MAX;
         let mut t_pr2 = f64::MAX;
         let mut t_clone = f64::MAX;
         for _ in 0..rounds {
             t_clone = t_clone.min(time_per_call(|| {
                 std::hint::black_box(melded.clone());
             }));
-            t_inc = t_inc.min(time_per_call(|| {
+            t_meld = t_meld.min(time_per_call(|| {
                 let mut g = melded.clone();
                 meld_function(&mut g, config);
             }));
@@ -118,7 +102,7 @@ fn rescan_ratios(cases: &[BenchCase], config: &MeldConfig, rounds: usize) -> Vec
                 meld_function_pr2(&mut g, config);
             }));
         }
-        ratios.push((t_pr2 - t_clone) / (t_inc - t_clone));
+        ratios.push((t_pr2 - t_clone) / (t_meld - t_clone));
     }
     ratios
 }
@@ -128,7 +112,7 @@ fn bench(c: &mut Criterion) {
     let cases = fig8_cases();
     let config = MeldConfig::default();
 
-    // Correctness first, in both modes: the incremental driver, the frozen
+    // Correctness first, in both modes: the shipped driver, the frozen
     // PR 2 driver and the pre-pipeline reference oracle must be
     // bit-identical (printed IR and statistics) on the whole sweep, under
     // both DARM and branch fusion, before any time means anything.
@@ -143,13 +127,13 @@ fn bench(c: &mut Criterion) {
             assert_eq!(
                 a.to_string(),
                 b.to_string(),
-                "{}: incremental and PR 2 drivers disagree",
+                "{}: shipped and PR 2 drivers disagree",
                 case.name
             );
             assert_eq!(
                 a.to_string(),
                 r.to_string(),
-                "{}: incremental and reference drivers disagree",
+                "{}: shipped and reference drivers disagree",
                 case.name
             );
             assert_eq!(
@@ -167,48 +151,8 @@ fn bench(c: &mut Criterion) {
         }
     }
 
-    // The in-place machinery must actually fire somewhere on the sweep —
-    // the `--time-passes` counters the incremental work is measured by:
-    // deletion windows patching dominator trees, shape windows splicing
-    // the Cfg RPO, and divergence reconciling over changed closures. The
-    // sweep includes the fig. 9 real kernels: the fig. 8 synthetics meld
-    // at the function entry, where the RPO splice correctly declines
-    // (anchor covers everything), so the Cfg counter only fires on
-    // kernels whose melds sit below the entry.
-    let (mut deletion_updates, mut cfg_updates, mut divergence_updates) = (0usize, 0usize, 0usize);
-    for case in cases.iter().chain(&fig9_cases()) {
-        let mut f = case.func.clone();
-        let out = run_meld_pipeline(
-            &mut f,
-            &config,
-            PipelineOptions {
-                time_passes: true,
-                ..PipelineOptions::default()
-            },
-        )
-        .expect("meld pipeline runs");
-        for p in &out.report.passes {
-            deletion_updates += p.analysis.in_place_deletion_updates;
-            cfg_updates += p.analysis.in_place_cfg_updates;
-            divergence_updates += p.analysis.in_place_divergence_updates;
-        }
-    }
-    println!(
-        "in-place updates across the fig8 sweep: {deletion_updates} deletion-batch tree, \
-         {cfg_updates} cfg splice, {divergence_updates} divergence closure"
-    );
-    assert!(
-        deletion_updates > 0,
-        "no deletion-containing window updated a dominator tree in place"
-    );
-    assert!(cfg_updates > 0, "no shape window spliced the Cfg in place");
-    assert!(
-        divergence_updates > 0,
-        "no window reconciled DivergenceAnalysis in place"
-    );
-
     if test_mode {
-        // Smoke-sized no-regression guard: the incremental driver must not
+        // Smoke-sized no-regression guard: the shipped driver must not
         // be slower than the PR 2 driver (5% timer-noise allowance). The
         // committed floors live in BENCH_meld.json; the perf gate compares
         // the recorded ratios against them.
@@ -218,11 +162,10 @@ fn bench(c: &mut Criterion) {
         perfjson::record("meld_pipeline/smoke_vs_pr2", gm);
         assert!(
             gm >= 0.95,
-            "incremental driver regressed below the PR 2 driver ({gm:.3}x)"
+            "meld driver regressed below the PR 2 driver ({gm:.3}x)"
         );
-        // Smoke-sized rescan ratio (the attacked phase, isolated): a no-op
-        // rescan of the already-melded function is almost pure analysis
-        // recompute, which the incremental stack now reconciles in place.
+        // Smoke-sized rescan ratio: a no-op rescan of the already-melded
+        // function is almost pure analysis compute and detection.
         let gm_rescan = geomean(rescan_ratios(&cases, &config, 2));
         println!("meld_pipeline guard: smoke rescan geomean {gm_rescan:.3}x vs PR 2 driver");
         perfjson::record("meld_pipeline/rescan_vs_pr2", gm_rescan);
@@ -233,16 +176,12 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("meld_pipeline");
     group.sample_size(10);
     for case in cases.iter().filter(|c| c.name.ends_with("-32")) {
-        group.bench_with_input(
-            BenchmarkId::new("incremental", &case.name),
-            case,
-            |b, case| {
-                b.iter(|| {
-                    let mut f = case.func.clone();
-                    meld_function(&mut f, &config)
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("meld", &case.name), case, |b, case| {
+            b.iter(|| {
+                let mut f = case.func.clone();
+                meld_function(&mut f, &config)
+            })
+        });
         group.bench_with_input(BenchmarkId::new("pr2", &case.name), case, |b, case| {
             b.iter(|| {
                 let mut f = case.func.clone();
@@ -263,10 +202,10 @@ fn bench(c: &mut Criterion) {
     let gm = geomean(speedups.iter().copied());
     println!("| **GM** | **{gm:.2}x** |");
 
-    // The phase this rework attacked, isolated: a full no-op rescan on the
-    // already-melded function (analyses + detection + zero melds).
+    // A full no-op rescan on the already-melded function (analyses +
+    // detection + zero melds).
     let gm_rescan = geomean(rescan_ratios(&cases, &config, 4));
-    println!("no-op rescan geomean (the attacked phase): {gm_rescan:.2}x");
+    println!("no-op rescan geomean: {gm_rescan:.2}x");
     perfjson::record("measured/meld_pipeline/end_to_end_vs_pr2", gm);
     perfjson::record("measured/meld_pipeline/rescan_vs_pr2", gm_rescan);
     println!("hard floor: >= 1.20x end-to-end geomean, >= 1.50x on the rescan phase");
@@ -274,11 +213,11 @@ fn bench(c: &mut Criterion) {
     println!("planner/codegen shared by both drivers (Amdahl), not recompute");
     assert!(
         gm >= 1.20,
-        "incremental driver fell below the hard floor vs the PR 2 driver ({gm:.2}x)"
+        "meld driver fell below the hard floor vs the PR 2 driver ({gm:.2}x)"
     );
     assert!(
         gm_rescan >= 1.50,
-        "incremental rescan phase fell below its bound ({gm_rescan:.2}x)"
+        "meld rescan phase fell below its bound ({gm_rescan:.2}x)"
     );
 }
 

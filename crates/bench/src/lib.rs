@@ -9,8 +9,15 @@
 //!
 //! Correctness is enforced throughout: every transformed kernel variant is
 //! checked against the CPU reference before its numbers are reported.
+//!
+//! The frozen baselines the compile-time gates and the differential
+//! oracles measure against live here, outside the shipped crates:
+//! [`pr2`] (the pass-manager-era cleanups and divergence analysis) and
+//! [`reference`](mod@reference) (the pre-pipeline and pass-manager-era meld drivers).
 
 pub mod perfjson;
+pub mod pr2;
+pub mod reference;
 
 use darm_ir::Module;
 use darm_kernels::synthetic::SyntheticKind;

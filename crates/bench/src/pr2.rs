@@ -1,21 +1,23 @@
-//! The pass-manager-refactor-era ("PR 2") cleanup implementations, kept
-//! verbatim as the differential baseline for compile-time benchmarks.
+//! The pass-manager-refactor-era ("PR 2") cleanup implementations and
+//! divergence analysis, kept verbatim as the differential baseline for
+//! compile-time benchmarks.
 //!
-//! These are the whole-function, round-based scans that the incremental
-//! rework replaced with worklists seeded from the mutation journal. Each
+//! These are the whole-function, round-based scans that the shipped
+//! transforms replaced with worklists driven by the mutation journal. Each
 //! produces results identical to its modern counterpart (`run_dce`,
-//! `run_instcombine`) — the `meld_pipeline` bench cross-checks that — so
-//! the only difference a benchmark observes is cost.
+//! `run_instcombine`, …) — the `meld_pipeline` bench and the
+//! `prop_cleanup_vs_pr2` tests cross-check that — so the only difference a
+//! benchmark observes is cost.
 
-use crate::instcombine::simplify_inst;
-use crate::simplify::SimplifyStats;
-use darm_analysis::{AnalysisManager, Cfg, DomTree};
+use darm_analysis::{AnalysisManager, Cfg, DivergenceAnalysis, DomTree, PostDomTree};
 use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Value};
+use darm_transforms::instcombine::simplify_inst;
+use darm_transforms::simplify::SimplifyStats;
 use std::collections::HashMap;
 
 /// Round-based whole-function dead-code elimination: recompute use flags,
 /// sweep, repeat until no instruction dies. Identical removals to
-/// [`run_dce`](crate::run_dce).
+/// [`run_dce`](darm_transforms::run_dce).
 pub fn run_dce_pr2(func: &mut Function) -> usize {
     let mut removed = 0;
     loop {
@@ -54,7 +56,7 @@ pub fn run_dce_pr2(func: &mut Function) -> usize {
 
 /// Round-based whole-function peephole simplification: full sweeps until a
 /// sweep changes nothing. Identical rewrites to
-/// [`run_instcombine`](crate::run_instcombine).
+/// [`run_instcombine`](darm_transforms::run_instcombine).
 pub fn run_instcombine_pr2(func: &mut Function) -> usize {
     let mut total = 0;
     loop {
@@ -82,7 +84,7 @@ pub fn run_instcombine_pr2(func: &mut Function) -> usize {
 
 /// The pass-manager-refactor-era CFG simplification: whole-function sweeps
 /// with the CFG snapshot invalidated and recomputed after every merge or
-/// elision. Identical rewrites to [`simplify_cfg`](crate::simplify_cfg).
+/// elision. Identical rewrites to [`simplify_cfg`](darm_transforms::simplify_cfg).
 pub fn simplify_cfg_pr2(func: &mut Function) -> SimplifyStats {
     simplify_cfg_with_pr2(func, &mut AnalysisManager::new())
 }
@@ -420,7 +422,7 @@ fn elide_empty_blocks_pr2(
 /// The pass-manager-refactor-era SSA repair: whole-function broken-
 /// definition scans (positions prebuilt per scan) and dominance frontiers
 /// recomputed per reconstructed definition. Identical repairs to
-/// [`repair_ssa`](crate::repair_ssa).
+/// [`repair_ssa`](darm_transforms::repair_ssa).
 pub fn repair_ssa_pr2(func: &mut Function) -> usize {
     repair_ssa_with_pr2(func, &mut AnalysisManager::new())
 }
@@ -613,6 +615,90 @@ fn dominated_through_phi_pr2(
     }
 }
 
+// ---- frozen divergence analysis ----
+
+/// The pass-manager-refactor-era divergence analysis: recomputes the
+/// post-dominator tree privately and builds the use map as per-definition
+/// `Vec`s. Produces a result identical to
+/// [`DivergenceAnalysis::run_with_pdt`].
+pub fn divergence_pr2(func: &Function, cfg: &Cfg, dt: &DomTree) -> DivergenceAnalysis {
+    let pdt = PostDomTree::new(func, cfg);
+    let mut div_inst = vec![false; func.inst_capacity()];
+    let mut div_branch_block = vec![false; func.block_capacity()];
+
+    // Use map: inst -> instructions using its result.
+    let mut users: Vec<Vec<InstId>> = vec![Vec::new(); func.inst_capacity()];
+    for b in func.block_ids() {
+        for &id in func.insts_of(b) {
+            for &op in &func.inst(id).operands {
+                if let Value::Inst(dep) = op {
+                    users[dep.index()].push(id);
+                }
+            }
+        }
+    }
+
+    let mut work: Vec<InstId> = Vec::new();
+    for b in func.block_ids() {
+        for &id in func.insts_of(b) {
+            if matches!(func.inst(id).opcode, Opcode::ThreadIdx(_)) {
+                div_inst[id.index()] = true;
+                work.push(id);
+            }
+        }
+    }
+
+    // Per-branch join sets are computed lazily and cached.
+    let mut joins_cache: std::collections::HashMap<usize, Vec<BlockId>> =
+        std::collections::HashMap::new();
+
+    while let Some(id) = work.pop() {
+        // Propagate data dependence to users.
+        for &u in &users[id.index()] {
+            if !div_inst[u.index()]
+                && !matches!(func.inst(u).opcode, Opcode::Br | Opcode::Jump | Opcode::Ret)
+            {
+                div_inst[u.index()] = true;
+                work.push(u);
+            }
+        }
+        // Sync dependence: a conditional branch using this value diverges.
+        for &u in &users[id.index()] {
+            let inst = func.inst(u);
+            if inst.opcode != Opcode::Br {
+                continue;
+            }
+            let bb = inst.block;
+            if div_branch_block[bb.index()] {
+                continue;
+            }
+            div_branch_block[bb.index()] = true;
+            let joins = joins_cache.entry(bb.index()).or_insert_with(|| {
+                // Frontiers recomputed per branch, as the era did.
+                let succs: Vec<BlockId> = inst.succs.clone();
+                let idf = dt.iterated_dominance_frontier(cfg, &succs);
+                match pdt.ipdom(bb) {
+                    Some(x) => idf
+                        .into_iter()
+                        .filter(|&j| j == x || pdt.post_dominates(x, j))
+                        .collect(),
+                    None => idf,
+                }
+            });
+            for &j in joins.iter() {
+                for phi in func.phis_of(j) {
+                    if !div_inst[phi.index()] {
+                        div_inst[phi.index()] = true;
+                        work.push(phi);
+                    }
+                }
+            }
+        }
+    }
+
+    DivergenceAnalysis::from_raw(div_inst, div_branch_block)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -636,10 +722,10 @@ mod tests {
         let mut old = build();
         let mut new = build();
         let ic_old = run_instcombine_pr2(&mut old);
-        let ic_new = crate::run_instcombine(&mut new);
+        let ic_new = darm_transforms::run_instcombine(&mut new);
         assert_eq!(ic_old, ic_new);
         let dce_old = run_dce_pr2(&mut old);
-        let dce_new = crate::run_dce(&mut new);
+        let dce_new = darm_transforms::run_dce(&mut new);
         assert_eq!(dce_old, dce_new);
         assert_eq!(old.to_string(), new.to_string());
     }

@@ -1,24 +1,27 @@
-//! The pre-pipeline melding driver, kept verbatim as a differential-testing
-//! oracle.
+//! The frozen melding drivers, kept verbatim as differential-testing
+//! oracles and benchmark baselines.
 //!
 //! [`meld_function_reference`] is the driver loop exactly as it existed
 //! before the pass-manager refactor: `Analyses::new` recomputed wholesale
 //! at the top of every fixpoint iteration, region detection run twice per
 //! candidate (once for sizing, once for processing), and the cleanup
 //! transforms called directly with their private analysis recomputation.
-//! The `pipeline_bit_identical` regression test in `darm-bench` asserts
-//! that [`meld_function`](crate::meld_function) — the cached-analysis
+//! The `pipeline_bit_identical` regression test asserts that
+//! [`meld_function`](darm_melding::meld_function) — the cached-analysis
 //! pipeline version — produces byte-identical printed IR on every paper
-//! kernel, and the `meld_pipeline` compile-time bench measures what the
-//! cache saves against this baseline.
+//! kernel.
+//!
+//! [`meld_function_pr2`] is the pass-manager-era driver with that era's
+//! frozen internals ([`crate::pr2`]); the `meld_pipeline` compile-time
+//! bench measures the shipped driver against it.
 
-use crate::{plan_region, region, Analyses, MeldConfig, MeldStats};
-use darm_analysis::{Cfg, DivergenceAnalysis, DomTree, PostDomTree};
-use darm_ir::Function;
-use darm_transforms::{
-    repair_ssa, repair_ssa_with_pr2, run_dce, run_dce_pr2, run_instcombine, run_instcombine_pr2,
-    simplify_cfg, simplify_cfg_with_pr2,
+use crate::pr2::{
+    divergence_pr2, repair_ssa_with_pr2, run_dce_pr2, run_instcombine_pr2, simplify_cfg_with_pr2,
 };
+use darm_analysis::{Cfg, DomTree, PostDomTree};
+use darm_ir::Function;
+use darm_melding::{plan_region, region, Analyses, MeldConfig, MeldStats};
+use darm_transforms::{repair_ssa, run_dce, run_instcombine, simplify_cfg};
 use std::sync::Arc;
 
 /// Runs the melding pass exactly like the pre-pipeline driver did. Returns
@@ -63,7 +66,7 @@ pub fn meld_function_reference(func: &mut Function, config: &MeldConfig) -> Meld
             let Some((plan, n_repl)) = plan_region(func, &r, config) else {
                 continue;
             };
-            let rstats = crate::codegen::meld_region(func, &r, &plan, config.unpredicate);
+            let rstats = darm_melding::codegen::meld_region(func, &r, &plan, config.unpredicate);
             stats.melded_regions += 1;
             stats.melded_subgraphs += rstats.melded_subgraphs;
             stats.selects_inserted += rstats.selects_inserted;
@@ -81,7 +84,7 @@ pub fn meld_function_reference(func: &mut Function, config: &MeldConfig) -> Meld
 }
 
 /// The pass-manager-refactor-era driver ("PR 2"), kept as the differential
-/// baseline the `meld_pipeline` bench measures the incremental rework
+/// baseline the `meld_pipeline` bench measures the shipped driver
 /// against. Architecture exactly as the era shipped it — the meld fixpoint
 /// as a pass under a real [`PassManager`](darm_pipeline::PassManager)
 /// with an inner cleanup pipeline,
@@ -90,11 +93,11 @@ pub fn meld_function_reference(func: &mut Function, config: &MeldConfig) -> Meld
 /// report built at the end — but with the era's *frozen internals*:
 /// invalidate-everything analysis management (every meld drops the whole
 /// cache), divergence rebuilding a private post-dominator tree and
-/// per-definition use vectors ([`DivergenceAnalysis::run_pr2_baseline`]),
+/// per-definition use vectors ([`divergence_pr2`]),
 /// and whole-function round-based cleanup scans
 /// ([`repair_ssa_with_pr2`], [`run_instcombine_pr2`],
 /// [`simplify_cfg_with_pr2`], [`run_dce_pr2`]). Produces IR and statistics
-/// bit-identical to [`meld_function`](crate::meld_function).
+/// bit-identical to [`meld_function`](darm_melding::meld_function).
 pub fn meld_function_pr2(func: &mut Function, config: &MeldConfig) -> MeldStats {
     use darm_analysis::AnalysisManager;
     use darm_pipeline::{FnPass, Pass, PassManager, PassOutcome, PipelineOptions};
@@ -134,7 +137,7 @@ pub fn meld_function_pr2(func: &mut Function, config: &MeldConfig) -> MeldStats 
                 let cfg = am.get::<Cfg>(func);
                 let dt = am.get::<DomTree>(func);
                 let pdt = am.get::<PostDomTree>(func);
-                let da = DivergenceAnalysis::run_pr2_baseline(func, &cfg, &dt);
+                let da = divergence_pr2(func, &cfg, &dt);
                 let a = Analyses {
                     cfg,
                     dt,
@@ -181,7 +184,8 @@ pub fn meld_function_pr2(func: &mut Function, config: &MeldConfig) -> MeldStats 
                         }
                         continue;
                     };
-                    let rstats = crate::codegen::meld_region(func, &r, &plan, config.unpredicate);
+                    let rstats =
+                        darm_melding::codegen::meld_region(func, &r, &plan, config.unpredicate);
                     mutated = true;
                     am.invalidate_all();
                     stats.melded_regions += 1;

@@ -2,9 +2,10 @@
 //! pipeline must be *observationally identical* to the pre-refactor
 //! driver, and every kernel variant must stay valid SSA between passes.
 
+use darm_bench::reference::meld_function_reference;
 use darm_bench::{fig8_cases, fig9_cases, prepare_variants_checked};
 use darm_kernels::BenchCase;
-use darm_melding::{meld_function, meld_function_reference, MeldConfig};
+use darm_melding::{meld_function, MeldConfig};
 use darm_pipeline::PipelineOptions;
 
 fn all_cases() -> Vec<BenchCase> {

@@ -1,17 +1,16 @@
-//! Property-based equivalence of the dirty-scoped cleanup transforms
-//! against their whole-function counterparts: starting from a function
-//! whose untouched remainder holds no redexes (the invariant a fixpoint
-//! driver establishes with one whole-function run), a random mutation
-//! window followed by a scoped run must produce exactly the IR and counts
-//! a whole-function run produces on a twin.
+//! Property-based equivalence of the shipped cleanup transforms against
+//! the frozen pass-manager-era ("PR 2") implementations in
+//! `darm_bench::pr2`: on a random structured CFG carrying random
+//! cleanup debris, each shipped transform must print exactly the IR, and
+//! report exactly the counts, its frozen counterpart produces on a twin.
+//! The frozen versions are the denominators of the `meld_pipeline`
+//! compile-time gates, so this is what keeps those gates comparing equal
+//! work.
 
-use darm_analysis::{AnalysisManager, Cfg, DomTree};
+use darm_bench::pr2::{repair_ssa_pr2, run_dce_pr2, run_instcombine_pr2, simplify_cfg_pr2};
 use darm_ir::builder::FunctionBuilder;
 use darm_ir::{Dim, Function, IcmpPred, InstData, Opcode, Type, Value};
-use darm_transforms::{
-    repair_ssa, repair_ssa_scoped, run_dce, run_dce_scoped, run_instcombine,
-    run_instcombine_scoped, simplify_cfg, simplify_cfg_scoped,
-};
+use darm_transforms::{repair_ssa, run_dce, run_instcombine, simplify_cfg};
 use proptest::prelude::*;
 
 /// Random structured CFG (same scheme as the analysis proptests): blocks in
@@ -128,70 +127,57 @@ fn apply_mutation(f: &mut Function, op: u8, x: u8, y: u8) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Scoped DCE and instcombine over a mutation window equal the
-    /// whole-function runs on a twin, in printed IR and in counts.
+    /// Shipped DCE and instcombine equal the frozen round-based scans, in
+    /// printed IR and in counts.
     #[test]
-    fn scoped_inst_cleanup_equals_whole(
+    fn inst_cleanup_equals_pr2(
         script in proptest::collection::vec(any::<u8>(), 6..30),
         muts in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
     ) {
         let mut f = build_cfg(&script);
-        // Establish the invariant: no redexes outside future windows.
-        run_instcombine(&mut f);
-        run_dce(&mut f);
-        let cursor = f.journal_head();
         for &(op, x, y) in &muts {
             // Instruction-level mutations only (ops 0, 1, 4).
             apply_mutation(&mut f, [0u8, 1, 4][op as usize % 3], x, y);
         }
-        let mut twin = f.clone();
-        let delta = f.dirty_since(cursor);
-        let ic_scoped = run_instcombine_scoped(&mut f, Some(&delta));
-        let ic_whole = run_instcombine(&mut twin);
-        prop_assert_eq!(ic_scoped, ic_whole, "instcombine counts differ");
-        prop_assert_eq!(f.to_string(), twin.to_string(), "instcombine IR differs");
-        let delta = f.dirty_since(cursor);
-        let dce_scoped = run_dce_scoped(&mut f, Some(&delta));
-        let dce_whole = run_dce(&mut twin);
-        prop_assert_eq!(dce_scoped, dce_whole, "dce counts differ");
-        prop_assert_eq!(f.to_string(), twin.to_string(), "dce IR differs");
+        let mut frozen = f.clone();
+        let ic = run_instcombine(&mut f);
+        let ic_pr2 = run_instcombine_pr2(&mut frozen);
+        prop_assert_eq!(ic, ic_pr2, "instcombine counts differ");
+        prop_assert_eq!(f.to_string(), frozen.to_string(), "instcombine IR differs");
+        let dce = run_dce(&mut f);
+        let dce_pr2 = run_dce_pr2(&mut frozen);
+        prop_assert_eq!(dce, dce_pr2, "dce counts differ");
+        prop_assert_eq!(f.to_string(), frozen.to_string(), "dce IR differs");
     }
 
-    /// Scoped CFG simplification over a mutation window equals the
-    /// whole-function run on a twin — including identical arena id
-    /// allocation (the printed IR uses raw instruction indices).
+    /// Shipped CFG simplification equals the frozen whole-function sweeps —
+    /// including identical arena id allocation (the printed IR uses raw
+    /// instruction indices).
     #[test]
-    fn scoped_simplify_equals_whole(
+    fn simplify_equals_pr2(
         script in proptest::collection::vec(any::<u8>(), 6..30),
         muts in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..6),
     ) {
         let mut f = build_cfg(&script);
-        simplify_cfg(&mut f);
-        let cursor = f.journal_head();
         for &(op, x, y) in &muts {
             apply_mutation(&mut f, op, x, y);
         }
-        let mut twin = f.clone();
-        let delta = f.dirty_since(cursor);
-        let s_scoped = simplify_cfg_scoped(&mut f, &mut AnalysisManager::new(), Some(&delta));
-        let s_whole = simplify_cfg(&mut twin);
-        prop_assert_eq!(s_scoped, s_whole, "simplify stats differ");
-        prop_assert_eq!(f.to_string(), twin.to_string(), "simplify IR differs");
+        let mut frozen = f.clone();
+        let s = simplify_cfg(&mut f);
+        let s_pr2 = simplify_cfg_pr2(&mut frozen);
+        prop_assert_eq!(s, s_pr2, "simplify stats differ");
+        prop_assert_eq!(f.to_string(), frozen.to_string(), "simplify IR differs");
     }
 
-    /// Scoped SSA repair (window + dominance diff from a baseline at which
-    /// the function was fully repaired) equals the whole-function repair on
-    /// a twin after dominance-breaking surgery.
+    /// Shipped SSA repair equals the frozen per-definition repair after
+    /// dominance-breaking surgery.
     #[test]
-    fn scoped_repair_equals_whole(
+    fn repair_equals_pr2(
         script in proptest::collection::vec(any::<u8>(), 6..30),
         picks in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..4),
     ) {
         let mut f = build_cfg(&script);
         prop_assert!(repair_ssa(&mut f) == 0); // generator builds valid SSA
-        let cfg0 = Cfg::new(&f);
-        let baseline = DomTree::new(&f, &cfg0);
-        let cursor = f.journal_head();
         // Dominance-breaking surgery: redirect edges (changing dominance
         // under existing uses) and add cross-block uses of existing defs.
         for &(x, y) in &picks {
@@ -223,18 +209,10 @@ proptest! {
                 }
             }
         }
-        let mut twin = f.clone();
-        let delta = f.dirty_since(cursor);
-        let cfg = Cfg::new(&f);
-        let dt = DomTree::new(&f, &cfg);
-        let dom_changed = DomTree::changed_from(&baseline, &dt, &cfg);
-        let n_scoped = repair_ssa_scoped(
-            &mut f,
-            &mut AnalysisManager::new(),
-            Some((&delta, &dom_changed)),
-        );
-        let n_whole = repair_ssa(&mut twin);
-        prop_assert_eq!(n_scoped, n_whole, "repair counts differ");
-        prop_assert_eq!(f.to_string(), twin.to_string(), "repair IR differs");
+        let mut frozen = f.clone();
+        let n = repair_ssa(&mut f);
+        let n_pr2 = repair_ssa_pr2(&mut frozen);
+        prop_assert_eq!(n, n_pr2, "repair counts differ");
+        prop_assert_eq!(f.to_string(), frozen.to_string(), "repair IR differs");
     }
 }

@@ -2,20 +2,20 @@
 //! every IR edit, and the [`DirtyDelta`] consumers replay it into.
 //!
 //! Every mutation API on `Function` appends compact [`DirtyEvent`]s to an
-//! internal [`MutationJournal`]. A consumer (an analysis manager updating
-//! incrementally, a cleanup pass restricting its rescan to what changed)
-//! remembers a [`JournalCursor`] and later asks
-//! [`Function::dirty_since`](crate::Function::dirty_since) for everything
-//! that happened after it. The replayed [`DirtyDelta`] answers the three
-//! questions incremental consumers have:
+//! internal [`MutationJournal`]. A consumer (the analysis manager deciding
+//! whether a cached entry is still valid, a cleanup pass re-enqueueing what
+//! its own rewrites touched) remembers a [`JournalCursor`] and later asks
+//! what happened after it:
 //!
-//! * **which blocks were touched** (instruction lists or contents changed),
-//! * **which instructions were touched** — including RAUW-reached users and
-//!   the operand definitions of removed/rewritten instructions (their use
-//!   counts changed, which is what dead-code elimination cares about),
-//! * **how the block graph changed** — an ordered [`CfgEdit`] log precise
-//!   enough for incremental dominator maintenance, or a saturation flag
-//!   when an edit escaped precise tracking.
+//! * [`Function::probe_since`](crate::Function::probe_since) classifies
+//!   the window in O(1) — clean, instruction-only, block-graph change, or
+//!   saturated — which is the analysis cache's validity check;
+//! * [`Function::insts_touched_since`](crate::Function::insts_touched_since)
+//!   visits the touched instructions — including RAUW-reached users and
+//!   the operand definitions of removed/rewritten instructions;
+//! * [`Function::dirty_since`](crate::Function::dirty_since) replays the
+//!   window into a [`DirtyDelta`]: which blocks were touched, and whether
+//!   the block graph changed.
 //!
 //! Cursors are tied to one function *instance*: cloning a function starts a
 //! fresh, empty journal under a new identity, so a stale cursor from the
@@ -116,18 +116,12 @@ impl MutationJournal {
         {
             return WindowProbe::Saturated;
         }
-        let events = (self.base + self.events.len() as u64 - cursor.seq) as usize;
-        if events == 0 {
-            return WindowProbe::Clean;
-        }
-        let shape_events = (self.shape_total - cursor.shape_seq) as usize;
-        if shape_events == 0 {
-            WindowProbe::InstsOnly { events }
+        if self.base + self.events.len() as u64 == cursor.seq {
+            WindowProbe::Clean
+        } else if self.shape_total == cursor.shape_seq {
+            WindowProbe::InstsOnly
         } else {
-            WindowProbe::Shape {
-                events,
-                shape_events,
-            }
+            WindowProbe::Shape
         }
     }
 
@@ -169,41 +163,6 @@ impl MutationJournal {
         delta
     }
 
-    /// Number of events recorded after `cursor`, or `None` when the cursor
-    /// saturated. O(1) — lets consumers decide whether replaying a window
-    /// is cheaper than a whole-function pass before paying for the replay.
-    pub fn events_since(&self, cursor: JournalCursor) -> Option<usize> {
-        if cursor.id != self.id || cursor.seq < self.base {
-            return None;
-        }
-        let start = ((cursor.seq - self.base) as usize).min(self.events.len());
-        Some(self.events.len() - start)
-    }
-
-    /// Replays just the [`CfgEdit`]s after `cursor` into `out` (cleared
-    /// first) — the block-graph slice of the window without the dirty
-    /// block/instruction bitsets a full [`DirtyDelta`] builds. Returns
-    /// `false` on saturation (foreign cursor, truncation, or a saturate
-    /// event inside the window).
-    pub fn cfg_edits_since(&self, cursor: JournalCursor, out: &mut Vec<CfgEdit>) -> bool {
-        out.clear();
-        if cursor.id != self.id || cursor.seq < self.base {
-            return false;
-        }
-        let start = (cursor.seq - self.base) as usize;
-        for &ev in &self.events[start.min(self.events.len())..] {
-            match ev {
-                DirtyEvent::BlockAdded(b) => out.push(CfgEdit::BlockAdded(b)),
-                DirtyEvent::BlockRemoved(b) => out.push(CfgEdit::BlockRemoved(b)),
-                DirtyEvent::EdgeInserted(u, v) => out.push(CfgEdit::EdgeInserted(u, v)),
-                DirtyEvent::EdgeDeleted(u, v) => out.push(CfgEdit::EdgeDeleted(u, v)),
-                DirtyEvent::Saturate => return false,
-                DirtyEvent::Block(_) | DirtyEvent::Inst(_) => {}
-            }
-        }
-        true
-    }
-
     /// Visits just the instruction ids touched after `cursor` (no
     /// allocation). Returns `false` on saturation.
     pub fn visit_insts_since(&self, cursor: JournalCursor, mut f: impl FnMut(InstId)) -> bool {
@@ -243,17 +202,9 @@ pub enum WindowProbe {
     /// Nothing happened in the window.
     Clean,
     /// Instructions changed; the block graph is intact.
-    InstsOnly {
-        /// Total events in the window.
-        events: usize,
-    },
+    InstsOnly,
     /// The block graph changed.
-    Shape {
-        /// Total events in the window.
-        events: usize,
-        /// Block-graph events among them.
-        shape_events: usize,
-    },
+    Shape,
     /// The cursor is stale (foreign journal, truncation, or an untracked
     /// mutation) — anything may have changed.
     Saturated,
@@ -323,86 +274,14 @@ impl BlockSet {
     }
 }
 
-/// A growable bitset over instruction arena indices.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DirtyInstSet {
-    words: Vec<u64>,
-}
-
-impl DirtyInstSet {
-    /// Inserts `id`.
-    pub fn insert(&mut self, id: InstId) {
-        let i = id.index();
-        if i / 64 >= self.words.len() {
-            self.words.resize(i / 64 + 1, 0);
-        }
-        self.words[i / 64] |= 1u64 << (i % 64);
-    }
-
-    /// Whether `id` is in the set.
-    pub fn contains(&self, id: InstId) -> bool {
-        let i = id.index();
-        self.words
-            .get(i / 64)
-            .is_some_and(|w| w & (1u64 << (i % 64)) != 0)
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Elements in ascending arena order.
-    pub fn iter(&self) -> impl Iterator<Item = InstId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                Some(InstId::new(wi * 64 + bit as usize))
-            })
-        })
-    }
-
-    /// Adds every element of `other`.
-    pub fn union_with(&mut self, other: &DirtyInstSet) {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
-        }
-        for (w, &o) in self.words.iter_mut().zip(&other.words) {
-            *w |= o;
-        }
-    }
-}
-
-/// One block-graph edit, in journal order — the unit incremental dominator
-/// maintenance consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CfgEdit {
-    /// A new block appeared.
-    BlockAdded(BlockId),
-    /// A block was tombstoned.
-    BlockRemoved(BlockId),
-    /// Edge `from → to` inserted.
-    EdgeInserted(BlockId, BlockId),
-    /// Edge `from → to` deleted.
-    EdgeDeleted(BlockId, BlockId),
-}
-
 /// The replayed view of a journal window: what changed since a cursor.
 #[derive(Debug, Clone, Default)]
 pub struct DirtyDelta {
     saturated: bool,
     /// Blocks whose instruction lists or contents changed.
     pub blocks: BlockSet,
-    /// Instructions touched (added, removed, rewritten, or definitions
-    /// whose use counts changed).
-    pub insts: DirtyInstSet,
-    /// Ordered block-graph edits (empty when the shape is intact).
-    pub edits: Vec<CfgEdit>,
+    /// Whether the window added or removed blocks or edges.
+    shape: bool,
 }
 
 impl DirtyDelta {
@@ -420,15 +299,10 @@ impl DirtyDelta {
         self.saturated
     }
 
-    /// Whether nothing at all changed in the window.
-    pub fn is_clean(&self) -> bool {
-        !self.saturated && self.blocks.is_empty() && self.insts.is_empty() && self.edits.is_empty()
-    }
-
     /// Whether the block graph (blocks or edges) changed — the tier that
     /// invalidates shape-keyed analyses. A saturated delta counts.
     pub fn shape_changed(&self) -> bool {
-        self.saturated || !self.edits.is_empty()
+        self.saturated || self.shape
     }
 
     fn absorb_event(&mut self, ev: DirtyEvent) {
@@ -436,64 +310,18 @@ impl DirtyDelta {
             DirtyEvent::Block(b) => {
                 self.blocks.insert(b);
             }
-            DirtyEvent::Inst(id) => self.insts.insert(id),
-            DirtyEvent::BlockAdded(b) => {
+            DirtyEvent::Inst(_) => {}
+            DirtyEvent::BlockAdded(b) | DirtyEvent::BlockRemoved(b) => {
                 self.blocks.insert(b);
-                self.edits.push(CfgEdit::BlockAdded(b));
+                self.shape = true;
             }
-            DirtyEvent::BlockRemoved(b) => {
-                self.blocks.insert(b);
-                self.edits.push(CfgEdit::BlockRemoved(b));
-            }
-            DirtyEvent::EdgeInserted(u, v) => {
+            DirtyEvent::EdgeInserted(u, v) | DirtyEvent::EdgeDeleted(u, v) => {
                 self.blocks.insert(u);
                 self.blocks.insert(v);
-                self.edits.push(CfgEdit::EdgeInserted(u, v));
-            }
-            DirtyEvent::EdgeDeleted(u, v) => {
-                self.blocks.insert(u);
-                self.blocks.insert(v);
-                self.edits.push(CfgEdit::EdgeDeleted(u, v));
+                self.shape = true;
             }
             DirtyEvent::Saturate => self.saturated = true,
         }
-    }
-
-    /// Merges `other` into `self` (saturation is sticky; edit order is
-    /// `self`'s edits followed by `other`'s).
-    pub fn merge(&mut self, other: &DirtyDelta) {
-        self.saturated |= other.saturated;
-        self.blocks.union_with(&other.blocks);
-        self.insts.union_with(&other.insts);
-        self.edits.extend_from_slice(&other.edits);
-    }
-
-    /// Worklist seeds for an instruction-level transform scoped to this
-    /// window: every live instruction of a dirty block plus every touched
-    /// live instruction, deduplicated. (The journal already extends
-    /// touched instructions to RAUW-reached users and the operand
-    /// definitions of removed instructions.)
-    pub fn seed_insts(&self, func: &crate::function::Function) -> Vec<InstId> {
-        let mut seen = vec![false; func.inst_capacity()];
-        let mut work = Vec::new();
-        for b in self.blocks.iter() {
-            if !func.is_block_alive(b) {
-                continue;
-            }
-            for &id in func.insts_of(b) {
-                if !seen[id.index()] {
-                    seen[id.index()] = true;
-                    work.push(id);
-                }
-            }
-        }
-        for id in self.insts.iter() {
-            if func.is_inst_alive(id) && !seen[id.index()] {
-                seen[id.index()] = true;
-                work.push(id);
-            }
-        }
-        work
     }
 }
 
@@ -514,17 +342,21 @@ mod tests {
         assert!(!d0.is_saturated());
         assert!(d0.blocks.contains(BlockId::new(3)));
         assert!(d0.shape_changed());
-        assert!(d0.insts.contains(InstId::new(7)));
+        assert_eq!(j.probe(c0), WindowProbe::Shape);
 
         let d1 = j.replay_since(c1);
         assert!(!d1.shape_changed());
-        assert!(d1.insts.contains(InstId::new(7)));
         assert!(!d1.blocks.contains(BlockId::new(3)));
+        assert_eq!(j.probe(c1), WindowProbe::InstsOnly);
+        let mut touched = Vec::new();
+        assert!(j.visit_insts_since(c1, |id| touched.push(id)));
+        assert_eq!(touched, vec![InstId::new(7)]);
 
         // Truncation: old cursors saturate, the head cursor stays clean.
         j.truncate();
         assert!(j.replay_since(c0).is_saturated());
-        assert!(j.replay_since(j.head()).is_clean());
+        assert_eq!(j.probe(c0), WindowProbe::Saturated);
+        assert_eq!(j.probe(j.head()), WindowProbe::Clean);
 
         // Foreign cursors (other identity) saturate.
         let other = MutationJournal::new();
@@ -541,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn block_and_inst_sets() {
+    fn block_sets() {
         let mut s = BlockSet::default();
         assert!(s.insert(BlockId::new(70)));
         assert!(!s.insert(BlockId::new(70)));
@@ -549,13 +381,5 @@ mod tests {
         assert!(!s.contains(BlockId::new(71)));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![BlockId::new(70)]);
         assert_eq!(s.len(), 1);
-
-        let mut i = DirtyInstSet::default();
-        i.insert(InstId::new(1));
-        i.insert(InstId::new(130));
-        assert_eq!(
-            i.iter().map(InstId::index).collect::<Vec<_>>(),
-            vec![1, 130]
-        );
     }
 }

@@ -1,6 +1,6 @@
 //! Functions, basic blocks and instructions.
 
-use crate::dirty::{CfgEdit, DirtyDelta, DirtyEvent, JournalCursor, MutationJournal, WindowProbe};
+use crate::dirty::{DirtyDelta, DirtyEvent, JournalCursor, MutationJournal, WindowProbe};
 use crate::opcode::Opcode;
 use crate::types::Type;
 use crate::value::Value;
@@ -187,9 +187,9 @@ pub struct BlockData {
 /// instruction lists skip dead entries.
 ///
 /// Every mutation API records what it touched in a [`MutationJournal`], so
-/// incremental consumers (analysis caches, dirty-scoped cleanup passes) can
-/// replay exactly what changed since a [`JournalCursor`] they remember —
-/// see [`Function::journal_head`] and [`Function::dirty_since`].
+/// consumers (the analysis cache, worklist cleanups) can ask what changed
+/// since a [`JournalCursor`] they remember — see
+/// [`Function::journal_head`] and [`Function::dirty_since`].
 #[derive(Debug)]
 pub struct Function {
     name: String,
@@ -203,7 +203,7 @@ pub struct Function {
     journal: MutationJournal,
     /// Count of non-tombstoned blocks, maintained by
     /// `add_block`/`remove_block` so [`Function::live_block_count`] is
-    /// O(1) — it sits on the analysis manager's reconcile hot path.
+    /// O(1) (the module driver sizes functions by it when scheduling).
     live_blocks: usize,
 }
 
@@ -296,19 +296,9 @@ impl Function {
         self.journal.visit_insts_since(cursor, f)
     }
 
-    /// Replays just the block-graph edits after `cursor` into `out`
-    /// (cleared first), skipping the bitset construction of a full
-    /// [`DirtyDelta`] — the dominator-tree updater's replay. Returns
-    /// `false` on saturation.
-    pub fn cfg_edits_since(&self, cursor: JournalCursor, out: &mut Vec<CfgEdit>) -> bool {
-        self.journal.cfg_edits_since(cursor, out)
-    }
-
     /// O(1) classification of the journal window after `cursor`: clean,
-    /// instruction-only, shape-changing (with event counts), or saturated.
-    /// The cheap "is this window worth replaying" probe — a window with
-    /// more events than the function has live instructions is better
-    /// served by a whole-function pass than by replay-and-scope.
+    /// instruction-only, shape-changing, or saturated — the validity probe
+    /// the analysis cache runs on every query.
     pub fn probe_since(&self, cursor: JournalCursor) -> WindowProbe {
         self.journal.probe(cursor)
     }
@@ -525,7 +515,7 @@ impl Function {
 
     /// Successor blocks as a borrowed slice (empty if the block has no
     /// terminator) — the allocation-free sibling of [`Function::succs`]
-    /// for read-heavy consumers like the incremental dominator updater.
+    /// for read-heavy consumers.
     pub fn succ_slice(&self, b: BlockId) -> &[BlockId] {
         match self.terminator(b) {
             Some(t) => &self.inst(t).succs,
@@ -736,15 +726,8 @@ impl Function {
             if hits > 0 {
                 self.record(DirtyEvent::Inst(t));
                 self.record(DirtyEvent::Block(b));
-                // One event pair *per replaced occurrence*: a duplicate-
-                // target branch (`br c, X, X`) carries two successor
-                // entries, and the journal's edge multiset arithmetic
-                // (`EditSummary::normalize`) is only exact when every
-                // entry's flip is recorded.
-                for _ in 0..hits {
-                    self.record(DirtyEvent::EdgeDeleted(b, from));
-                    self.record(DirtyEvent::EdgeInserted(b, to));
-                }
+                self.record(DirtyEvent::EdgeDeleted(b, from));
+                self.record(DirtyEvent::EdgeInserted(b, to));
             }
         }
     }

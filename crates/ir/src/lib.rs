@@ -18,7 +18,7 @@
 //! Functions are arena-based: [`Function`] owns all blocks and instructions,
 //! and [`BlockId`]/[`InstId`]/[`Value`] are small `Copy` handles. A
 //! [`Module`] collects named functions for batch compilation — each keeps
-//! its own mutation journal, so module-level drivers run incremental
+//! its own mutation journal, so module-level drivers run the
 //! per-function pipelines unchanged (and, functions being independent, in
 //! parallel).
 //!
@@ -66,7 +66,7 @@ pub mod types;
 pub mod value;
 
 pub use budget::Budget;
-pub use dirty::{BlockSet, CfgEdit, DirtyDelta, DirtyInstSet, JournalCursor, WindowProbe};
+pub use dirty::{BlockSet, DirtyDelta, JournalCursor, WindowProbe};
 pub use function::{
     BlockData, BlockId, Function, FunctionSnapshot, InstData, InstId, IrError, SharedArray,
 };

@@ -4,8 +4,8 @@
 //! holding several kernels) operate on whole modules; the module driver in
 //! `darm-pipeline` runs a pass pipeline over every function — serially or
 //! on a worker pool, since functions are fully independent. Each function
-//! keeps its own mutation journal (see [`crate::dirty`]), so incremental
-//! analyses and dirty-scoped cleanups work per function exactly as they do
+//! keeps its own mutation journal (see [`crate::dirty`]), so the analysis
+//! cache and the worklist cleanups work per function exactly as they do
 //! in single-function compilation; there is no module-wide journal.
 //!
 //! The textual form is one or more `fn @name(...) -> ty { ... }` bodies

@@ -51,7 +51,6 @@
 pub mod codegen;
 pub mod isomorphism;
 pub mod pass;
-pub mod reference;
 pub mod region;
 pub mod replicate;
 pub mod tail_merge;
@@ -59,7 +58,6 @@ pub mod unpredicate;
 
 pub use codegen::{PlanElement, RegionMeldStats};
 pub use pass::{MeldPass, MeldStatsSink, TailMergePass};
-pub use reference::{meld_function_pr2, meld_function_reference};
 pub use region::{Analyses, MeldableRegion, Subgraph};
 pub use tail_merge::tail_merge;
 
@@ -91,12 +89,6 @@ pub struct MeldConfig {
     pub unpredicate: bool,
     /// Fixpoint iteration cap for Algorithm 1's outer loop.
     pub max_iterations: usize,
-    /// Whether the fixpoint maintains analyses incrementally and scopes
-    /// cleanup to the dirty region (default). Off reproduces the
-    /// invalidate-everything driver of the pass-manager refactor — the
-    /// differential baseline of the `meld_pipeline` bench; both settings
-    /// produce bit-identical IR and statistics.
-    pub incremental: bool,
 }
 
 impl Default for MeldConfig {
@@ -106,7 +98,6 @@ impl Default for MeldConfig {
             threshold: 0.2,
             unpredicate: true,
             max_iterations: 32,
-            incremental: true,
         }
     }
 }
@@ -124,16 +115,6 @@ impl MeldConfig {
     pub fn with_threshold(threshold: f64) -> MeldConfig {
         MeldConfig {
             threshold,
-            ..MeldConfig::default()
-        }
-    }
-
-    /// The invalidate-everything fixpoint (the pre-incremental driver):
-    /// every meld drops every analysis and cleanup rescans the whole
-    /// function. Kept as the differential baseline for benchmarks.
-    pub fn non_incremental() -> MeldConfig {
-        MeldConfig {
-            incremental: false,
             ..MeldConfig::default()
         }
     }
@@ -245,7 +226,7 @@ pub fn run_meld_pipeline(
 
 /// Applies the spec parameters the melding family understands on top of a
 /// base configuration: `threshold=F`, `mode=darm|bf`, `unpredicate=BOOL`,
-/// `max-iters=N`, `incremental=BOOL`.
+/// `max-iters=N`.
 fn apply_meld_params(
     mut config: MeldConfig,
     params: &mut darm_pipeline::PassParams,
@@ -270,9 +251,6 @@ fn apply_meld_params(
     if let Some(n) = params.take_parsed::<usize>("max-iters")? {
         config.max_iterations = n;
     }
-    if let Some(i) = params.take_parsed::<bool>("incremental")? {
-        config.incremental = i;
-    }
     Ok(config)
 }
 
@@ -285,7 +263,7 @@ fn apply_meld_params(
 ///
 /// `meld` and `meld-bf` accept spec parameters overriding the base
 /// configuration — `meld(threshold=0.3)`, `meld(unpredicate=false)`,
-/// `meld(mode=bf)`, `meld(max-iters=4)`, `meld(incremental=false)` — so
+/// `meld(mode=bf)`, `meld(max-iters=4)` — so
 /// the paper's ablations (threshold sweep, unpredication off) are
 /// expressible as specs with no code changes. Both propagate the
 /// pipeline's `verify_each` into their inner cleanup pipeline, exactly as
@@ -337,9 +315,10 @@ pub fn meld_function(func: &mut Function, config: &MeldConfig) -> MeldStats {
 /// with `MP_S` scoring (Definition 7) and keeps matches at or above the
 /// profitability threshold. Returns `None` when nothing profitable exists.
 /// The second component counts region replications the plan will perform.
-/// Shared by the pipeline driver ([`MeldPass`]) and the pre-refactor
-/// oracle ([`meld_function_reference`]).
-pub(crate) fn plan_region(
+/// Shared by the pipeline driver ([`MeldPass`]) and the frozen drivers the
+/// benchmarks keep as oracles.
+#[doc(hidden)]
+pub fn plan_region(
     func: &mut Function,
     r: &MeldableRegion,
     config: &MeldConfig,

@@ -5,26 +5,23 @@
 //! divergence snapshot from the cache instead of recomputing it wholesale,
 //! candidate regions are detected exactly once per scan (the sizing pass
 //! memoizes them for the processing loop), and the post-meld cleanup runs
-//! as a journal-synced inner pipeline (`ssa-repair`, `instcombine`,
-//! `simplify`, `dce`). In incremental mode nothing invalidates eagerly at
-//! all: every mutation — region surgery and cleanup alike — is journaled,
-//! and the manager reconciles each cached entry against its own window at
-//! the next query, keeping what survived, updating the dominator and
-//! post-dominator trees in place where the batch is small enough to win,
-//! and recomputing the rest on demand.
+//! as an inner pipeline (`ssa-repair`, `instcombine`, `simplify`, `dce`).
+//! As in the paper's algorithm, every meld drops every cached analysis and
+//! each cleanup pass runs over the whole function; analyses are recomputed
+//! on demand at the next scan.
 //!
-//! The rewrite *sequence* is identical to the pre-pipeline driver (kept as
-//! [`meld_function_reference`](crate::reference::meld_function_reference));
-//! the `pipeline_bit_identical` regression test in `darm-bench` holds the
-//! two to byte-equal printed IR on every paper kernel.
+//! The rewrite *sequence* is identical to the pre-pipeline driver, which
+//! `darm-bench` keeps as a frozen oracle; its `pipeline_bit_identical`
+//! regression test holds the two to byte-equal printed IR on every paper
+//! kernel.
 
 use crate::region::{self, MeldableRegion};
 use crate::{plan_region, Analyses, MeldConfig, MeldMode, MeldStats};
 use darm_analysis::AnalysisManager;
 use darm_ir::{BlockId, Function};
 use darm_pipeline::{
-    DcePass, InstCombinePass, Pass, PassManager, PassOutcome, PipelineOptions, ScopedPass,
-    SimplifyCfgPass, SsaRepairPass,
+    DcePass, InstCombinePass, Pass, PassManager, PassOutcome, PipelineOptions, SimplifyCfgPass,
+    SsaRepairPass,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -53,42 +50,17 @@ impl MeldPass {
     /// manager has consumed the pass.
     pub fn with_sink(config: MeldConfig, stats: MeldStatsSink) -> MeldPass {
         // Algorithm 1's RunPostOptimizations, as an inner pipeline in the
-        // pre-pipeline driver's exact order. In incremental mode each
-        // cleanup pass restricts its rescan to the journal window since
-        // its own previous run (per-meld cost) and the pipeline reconciles
-        // the analysis cache through the journal after every pass — so the
-        // dominator/post-dominator trees the meld surgery updated in place
-        // survive the cleanup rounds instead of being dropped by coarse
-        // preservation reports. Otherwise every run scans the whole
-        // function and invalidates by report, as the pre-incremental
-        // driver did.
-        let scoped = config.incremental;
-        let mut cleanup = PassManager::new(PipelineOptions {
-            journal_sync: scoped,
-            ..PipelineOptions::default()
-        });
+        // pre-pipeline driver's exact order.
+        let mut cleanup = PassManager::new(PipelineOptions::default());
         cleanup
-            .add(Box::new(SsaRepairPass::default().with_scoping(scoped)))
-            .add(Box::new(InstCombinePass::default().with_scoping(scoped)))
-            .add(Box::new(SimplifyCfgPass::default().with_scoping(scoped)))
-            .add(Box::new(DcePass::default().with_scoping(scoped)));
+            .add(Box::new(SsaRepairPass::default()))
+            .add(Box::new(InstCombinePass::default()))
+            .add(Box::new(SimplifyCfgPass::default()))
+            .add(Box::new(DcePass::default()));
         MeldPass {
             config,
             stats,
             cleanup,
-        }
-    }
-
-    /// Reconciles the analysis cache with the mutations just performed. In
-    /// incremental mode there is nothing eager to do: every mutation is
-    /// journaled, and the manager reconciles each cached entry against its
-    /// own window at the next query — consecutive surgeries and cleanup
-    /// rounds coalesce into one reconciliation per entry per scan.
-    /// Non-incremental mode drops everything, as the pre-incremental
-    /// driver did.
-    fn sync_analyses(&self, _func: &Function, am: &mut AnalysisManager) {
-        if !self.config.incremental {
-            am.invalidate_all();
         }
     }
 
@@ -159,23 +131,10 @@ impl Pass for MeldPass {
         let config = self.config;
         let mut stats = MeldStats::default();
         let mut mutated = false;
-        if config.incremental {
-            // Anchor the journal cursor so every later sync replays
-            // exactly the window the fixpoint actually mutated.
-            am.observe(func);
-        }
         'outer: for _ in 0..config.max_iterations {
             darm_ir::budget::poll("meld::fixpoint");
             stats.iterations += 1;
             let a = Analyses::from_manager(func, am);
-            if config.incremental {
-                // The function is in valid, fully repaired SSA form at
-                // every scan top (pipeline contract on entry; the cleanup
-                // fixpoint afterwards): publishing the checkpoint lets the
-                // post-meld SSA repair scope even its first scan to the
-                // meld window.
-                am.set_dom_checkpoint(func, a.dt.clone());
-            }
             for (_, b, r) in self.candidates(func, &a) {
                 // Region simplification (Definition 3/4) may change the
                 // CFG; restart with fresh analyses when it does. A
@@ -185,7 +144,7 @@ impl Pass for MeldPass {
                 // pre-pipeline driver paid for it unconditionally).
                 if r.is_none() && region::simplify_region_entry(func, &a, b) {
                     mutated = true;
-                    self.sync_analyses(func, am);
+                    am.invalidate_all();
                     continue 'outer;
                 }
                 let Some(r) = r else { continue };
@@ -199,16 +158,15 @@ impl Pass for MeldPass {
                     // block-indexed tables would be undersized).
                     if (func.block_capacity(), func.inst_capacity()) != arenas_before {
                         mutated = true;
-                        self.sync_analyses(func, am);
+                        am.invalidate_all();
                     }
                     continue;
                 };
                 darm_ir::fault::point("meld::codegen");
                 let rstats = crate::codegen::meld_region(func, &r, &plan, config.unpredicate);
-                // Melding rewrote blocks and edges: reconcile the cache
-                // with exactly what the surgery touched.
+                // Melding rewrote blocks and edges.
                 mutated = true;
-                self.sync_analyses(func, am);
+                am.invalidate_all();
                 stats.melded_regions += 1;
                 stats.melded_subgraphs += rstats.melded_subgraphs;
                 stats.selects_inserted += rstats.selects_inserted;
@@ -238,14 +196,9 @@ impl Pass for MeldPass {
             sink.iterations += stats.iterations;
         }
         // A scan that melded nothing, padded nothing and grew no arena is
-        // provably mutation-free. In incremental mode the cache is also
-        // valid after a *mutating* run: every mutation was reconciled
-        // through the journal (`sync_analyses` after surgery, the
-        // journal-synced cleanup pipeline after each pass), so the warm
-        // dominator/post-dominator trees survive into the next pipeline
-        // stage either way.
+        // provably mutation-free.
         Ok(PassOutcome {
-            preserved: if mutated && !config.incremental {
+            preserved: if mutated {
                 darm_analysis::PreservedAnalyses::none()
             } else {
                 darm_analysis::PreservedAnalyses::all()
@@ -270,8 +223,8 @@ impl Pass for MeldPass {
 
     fn reset(&mut self) {
         // The sink is shared (callers may hold clones of the Rc), so reset
-        // its contents in place; the inner cleanup pipeline carries the
-        // per-function journal cursors and dominator baselines.
+        // its contents in place, and zero the inner cleanup pipeline's
+        // records.
         *self.stats.borrow_mut() = MeldStats::default();
         self.cleanup.reset_for_reuse();
     }

@@ -655,3 +655,20 @@ fn meld_stats_report_iterations_and_repairs() {
     // unpredication φs must have fired at least once overall.
     assert!(stats.melded_subgraphs >= 1);
 }
+
+/// The meld driver has one mode: `incremental` is not a meld parameter,
+/// and the pass that receives it rejects it as unknown.
+#[test]
+fn meld_rejects_the_removed_incremental_parameter() {
+    let registry = darm_melding::registry(&MeldConfig::default());
+    for spec in ["meld(incremental=false)", "meld-bf(incremental=true)"] {
+        match registry.build(spec, darm_pipeline::PipelineOptions::default()) {
+            Err(darm_pipeline::PipelineError::BadParameter { pass, message }) => {
+                assert_eq!(pass, spec.split('(').next().unwrap());
+                assert!(message.contains("`incremental`"), "{message}");
+            }
+            Err(other) => panic!("{spec}: expected BadParameter, got {other}"),
+            Ok(_) => panic!("{spec}: expected BadParameter, got a pipeline"),
+        }
+    }
+}

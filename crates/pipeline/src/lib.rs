@@ -62,11 +62,12 @@
 //! A [`Pass`] receives the function and the shared analysis cache. It must
 //! uphold two obligations:
 //!
-//! 1. **Cache consistency during the run.** If the pass mutates the IR and
-//!    then queries an analysis, it must first invalidate what the mutation
-//!    broke (the `*_with` transforms in `darm-transforms` do this
-//!    internally). A pass may freely *read* cached analyses computed for
-//!    the unmodified function.
+//! 1. **Cache consistency during the run.** Every mutation through the
+//!    `Function` API is journaled, and the manager's read rule (below)
+//!    never serves an entry the journal says may have changed. A pass that
+//!    edits IR outside the journal's contract (retargeting successors
+//!    through the raw `inst_mut` escape hatch) must call
+//!    `Function::saturate_journal` before it queries again.
 //! 2. **Preservation report.** The returned [`PassOutcome`] declares what
 //!    survived the whole run via
 //!    [`PreservedAnalyses`]. The manager
@@ -75,31 +76,22 @@
 //!    correctness, and a pass that forgot an internal invalidation is still
 //!    caught by its (coarser) report.
 //!
-//! ### Invalidation tiers
+//! ### Invalidation
 //!
-//! Analyses invalidate at three granularities (see
-//! `darm_analysis::manager` for the authoritative contract):
+//! The [`AnalysisManager`] checks every cached entry against the
+//! function's `darm-ir` mutation journal when it is read (see
+//! `darm_analysis::manager`): a clean window is a hit, an instruction-only
+//! window keeps the shape-only analyses, anything else recomputes. A
+//! pass's report therefore only decides how early entries are dropped:
 //!
-//! | tier | mutation | report / mechanism |
-//! |---|---|---|
-//! | — | none | `PreservedAnalyses::all()` |
-//! | **CFG shape** | instructions only (φs, rauw, peepholes, DCE) | `PreservedAnalyses::cfg_shape()` — keeps CFG/dom/post-dom/loops; DCE additionally `.preserve::<DivergenceAnalysis>()` |
-//! | **none** | blocks or edges, provenance unknown | `PreservedAnalyses::none()` |
-//! | **dirty-set** | anything *tracked by the `darm-ir` mutation journal* | `AnalysisManager::update_after` replays the window: keeps what the window cannot have broken, updates dominator/post-dominator trees in place for supported local edit patterns, re-seeds liveness from dirty blocks, drops the rest |
+//! | mutation | report |
+//! |---|---|
+//! | none | `PreservedAnalyses::all()` |
+//! | instructions only (φs, rauw, peepholes, DCE) | `PreservedAnalyses::cfg_shape()` — keeps CFG/dom/post-dom/loops |
+//! | blocks or edges | `PreservedAnalyses::none()` |
 //!
-//! A pass should report the finest tier it can *prove*: `all()` when it
-//! changed nothing, `cfg_shape()` (plus any analysis it can argue
-//! preserved) for instruction-only rewrites, `none()` for untracked
-//! block-graph surgery. A driver that interleaves mutation with queries —
-//! the melding fixpoint — should anchor the manager with
-//! `AnalysisManager::observe` and call `update_after` instead of
-//! `invalidate_all`, so the dirty-set tier decides.
-//!
-//! The cleanup passes themselves are dirty-scoped (see [`passes`]): each
-//! restricts its rescan to the journal window since its own previous run,
-//! so a fixpoint driver pays per-region cleanup cost, not per-function.
 //! `PipelineReport` splits per-pass analysis *computations* from cache
-//! *hits* and incremental *updates*, which `--time-passes` prints.
+//! *hits*, which `--time-passes` prints.
 //!
 //! ## Failure semantics: containment, budgets, degradation
 //!
@@ -114,7 +106,7 @@
 //!   fresh journal identity, so no stale cursor survives), wraps the run
 //!   in `catch_unwind`, and on any fault — a pass panic, an injected
 //!   fault, a budget cancellation, or a plain pipeline error — restores
-//!   the snapshot, hard-resets the analysis manager and returns a
+//!   the snapshot, empties the analysis cache and returns a
 //!   structured [`Diagnostic`]`{ function, pass, site, cause }`.
 //! * **Outcomes.** A [`ModulePassManager`] with
 //!   [`OnError::Degrade`] records
@@ -151,8 +143,7 @@ pub use module::{
     FunctionOutcome, FunctionReport, ModuleOptions, ModulePassManager, ModuleReport, OnError,
 };
 pub use passes::{
-    DcePass, FixpointPass, FnPass, InstCombinePass, ScopedPass, SimplifyCfgPass, SsaRepairPass,
-    VerifyPass,
+    DcePass, FixpointPass, FnPass, InstCombinePass, SimplifyCfgPass, SsaRepairPass, VerifyPass,
 };
 pub use registry::{PassParams, PassRegistry};
 pub use spec::{PassSpec, SpecElem, SpecError};
@@ -482,19 +473,10 @@ pub struct PipelineOptions {
     /// render the table. Off (the default), pass runs skip the clock reads
     /// entirely — run/change/unit counts are still recorded.
     pub time_passes: bool,
-    /// Reconcile the analysis cache with the mutation journal after every
-    /// pass (`AnalysisManager::update_after_with_report`) instead of
-    /// applying the pass's coarse [`PreservedAnalyses`] report alone: the
-    /// journal keeps or updates in place what the window provably cannot
-    /// have broken (dominator/post-dominator trees survive meld surgery),
-    /// and the report still rescues entries the pass vouches for. Off (the
-    /// default), passes invalidate by report, as the pre-incremental
-    /// drivers did.
-    pub journal_sync: bool,
     /// Shared wall-clock/fuel budget. The pass loop installs it for the
     /// current thread and polls it before every pass; the expensive inner
-    /// loops (fixpoint rounds, meld planning/scoring, scoped-simplify
-    /// rounds) poll it too. Exhaustion unwinds with a typed payload that a
+    /// loops (fixpoint rounds, meld planning/scoring, simplify rounds) poll
+    /// it too. Exhaustion unwinds with a typed payload that a
     /// containment boundary ([`PassManager::run_contained`],
     /// [`OnError::Degrade`]) converts into a degraded outcome for just the
     /// current function. The default is unlimited, which makes every poll
@@ -518,7 +500,7 @@ pub struct PassRecord {
     /// Pass-specific named counters.
     pub stats: Vec<(&'static str, u64)>,
     /// Analysis work attributed to this pass's runs: full computations vs
-    /// cache hits vs incremental in-place updates.
+    /// cache hits.
     pub analysis: AnalysisCounters,
 }
 
@@ -538,14 +520,12 @@ impl PipelineReport {
     /// Renders the `--time-passes` style table.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(
-            "| pass | runs | changed | units | time (ms) | analyses (comp/hit/upd/del-upd/cfg-upd/div-upd) |\n",
-        );
+        out.push_str("| pass | runs | changed | units | time (ms) | analyses (comp/hit) |\n");
         out.push_str("|---|---|---|---|---|---|\n");
         let mut totals = AnalysisCounters::default();
         for r in &self.passes {
             out.push_str(&format!(
-                "| {} | {} | {} | {} | {:.3} | {}/{}/{}/{}/{}/{} |\n",
+                "| {} | {} | {} | {} | {:.3} | {}/{} |\n",
                 r.name,
                 r.runs,
                 r.changed_runs,
@@ -553,30 +533,17 @@ impl PipelineReport {
                 r.seconds * 1e3,
                 r.analysis.computes,
                 r.analysis.hits,
-                r.analysis.updates,
-                r.analysis.in_place_deletion_updates,
-                r.analysis.in_place_cfg_updates,
-                r.analysis.in_place_divergence_updates,
             ));
-            totals.computes += r.analysis.computes;
-            totals.hits += r.analysis.hits;
-            totals.updates += r.analysis.updates;
-            totals.in_place_deletion_updates += r.analysis.in_place_deletion_updates;
-            totals.in_place_cfg_updates += r.analysis.in_place_cfg_updates;
-            totals.in_place_divergence_updates += r.analysis.in_place_divergence_updates;
+            totals.add(&r.analysis);
             for (k, v) in &r.stats {
                 out.push_str(&format!("|   · {k} | | | {v} | | |\n"));
             }
         }
         out.push_str(&format!(
-            "| **total** | | | | **{:.3}** | **{}/{}/{}/{}/{}/{}** |\n",
+            "| **total** | | | | **{:.3}** | **{}/{}** |\n",
             self.total_seconds * 1e3,
             totals.computes,
             totals.hits,
-            totals.updates,
-            totals.in_place_deletion_updates,
-            totals.in_place_cfg_updates,
-            totals.in_place_divergence_updates,
         ));
         let computed: Vec<String> = self
             .analysis_computations
@@ -671,7 +638,7 @@ impl PassManager {
     /// fault — a pass panic, an injected fault, a budget cancellation
     /// unwind, or a plain pipeline error — the function is restored to its
     /// pre-pipeline snapshot (under a fresh journal identity), `am` is
-    /// hard-reset, and the returned [`Diagnostic`] describes what
+    /// emptied, and the returned [`Diagnostic`] describes what
     /// happened.
     ///
     /// After a fault the pipeline instance may hold a pass abandoned
@@ -695,12 +662,12 @@ impl PassManager {
             Ok(Ok(report)) => Ok(report),
             Ok(Err(error)) => {
                 func.restore(&snapshot);
-                am.hard_reset();
+                am.invalidate_all();
                 Err(Diagnostic::from_error(func.name(), &error))
             }
             Err(payload) => {
                 func.restore(&snapshot);
-                am.hard_reset();
+                am.invalidate_all();
                 Err(Diagnostic::from_unwind(func.name(), payload))
             }
         }
@@ -771,27 +738,15 @@ impl PassManager {
             darm_ir::budget::poll("pipeline::pass");
             let t = timing.then(Instant::now);
             let counters_before = timing.then(|| am.counters());
-            let pass_start = self.options.journal_sync.then(|| func.journal_head());
             let outcome = pass
                 .run(func, am)
                 .map_err(|message| PipelineError::PassFailed {
                     pass: pass.name().to_string(),
                     message,
                 })?;
-            match pass_start {
-                Some(start) => {
-                    am.update_after_with_report(func, &outcome.preserved, start);
-                }
-                None => am.retain(&outcome.preserved),
-            }
+            am.retain(&outcome.preserved);
             if let Some(before) = counters_before {
-                let delta = am.counters().since(&before);
-                record.analysis.computes += delta.computes;
-                record.analysis.hits += delta.hits;
-                record.analysis.updates += delta.updates;
-                record.analysis.in_place_deletion_updates += delta.in_place_deletion_updates;
-                record.analysis.in_place_cfg_updates += delta.in_place_cfg_updates;
-                record.analysis.in_place_divergence_updates += delta.in_place_divergence_updates;
+                record.analysis.add(&am.counters().since(&before));
             }
             record.runs += 1;
             record.changed_runs += usize::from(outcome.changed);
@@ -886,6 +841,8 @@ mod tests {
         assert!(report.passes[0].changed_runs == 1);
         let table = report.render();
         assert!(table.contains("| simplify |"), "{table}");
+        // Analysis traffic is computes and cache hits, nothing else.
+        assert!(table.contains("| analyses (comp/hit) |\n"), "{table}");
     }
 
     #[test]

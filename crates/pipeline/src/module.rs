@@ -38,7 +38,7 @@ use crate::{
     clear_current_pass, install_quiet_panic_hook, Diagnostic, FaultCause, PassManager, PassRecord,
     PipelineError, PipelineOptions, PipelineReport,
 };
-use darm_analysis::{AnalysisCounters, AnalysisManager};
+use darm_analysis::AnalysisManager;
 use darm_ir::{Function, Module};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -176,17 +176,7 @@ impl ModuleReport {
                 acc.changed_runs += r.changed_runs;
                 acc.units += r.units;
                 acc.seconds += r.seconds;
-                acc.analysis = AnalysisCounters {
-                    computes: acc.analysis.computes + r.analysis.computes,
-                    hits: acc.analysis.hits + r.analysis.hits,
-                    updates: acc.analysis.updates + r.analysis.updates,
-                    in_place_deletion_updates: acc.analysis.in_place_deletion_updates
-                        + r.analysis.in_place_deletion_updates,
-                    in_place_cfg_updates: acc.analysis.in_place_cfg_updates
-                        + r.analysis.in_place_cfg_updates,
-                    in_place_divergence_updates: acc.analysis.in_place_divergence_updates
-                        + r.analysis.in_place_divergence_updates,
-                };
+                acc.analysis.add(&r.analysis);
                 for &(k, v) in &r.stats {
                     match acc.stats.iter_mut().find(|(ak, _)| *ak == k) {
                         Some((_, av)) => *av += v,

@@ -5,123 +5,24 @@
 //! [`PreservedAnalyses`](darm_analysis::PreservedAnalyses) tier it
 //! warrants: block/edge surgery preserves nothing, instruction-only
 //! rewrites preserve the CFG-shape analyses, a no-op preserves everything
-//! (see the crate docs for the invalidation rules). Dead-code elimination
-//! additionally preserves [`DivergenceAnalysis`] — removing an unused,
-//! side-effect-free instruction cannot change the divergence of any value
-//! that remains (divergence propagates from definitions to users).
+//! (see the crate docs for the invalidation rules).
 //!
-//! The cleanup adapters are *dirty-scoped*: each remembers the `darm-ir`
-//! journal cursor of its previous run and restricts the next run to the
-//! blocks and instructions mutated since (the pass's first run — or any
-//! run after journal saturation — is automatically whole-function, which
-//! establishes the "no redexes outside the window" invariant the scoped
-//! runs rely on). A fixpoint driver that re-runs its cleanup pipeline per
-//! melded region therefore pays per-region cost, not per-function cost.
-//! Construct with [`ScopedPass::with_scoping`]`(false)` to pin a pass to
-//! whole-function behavior (the pre-incremental driver used for
-//! differential benchmarks).
+//! Every adapter runs its transform over the whole function; the in-run
+//! worklists (instcombine's journal re-enqueue, simplify's warm-up round
+//! followed by rounds scoped to its own rewrites, DCE's use-count
+//! worklist) live in `darm-transforms`.
 
 use crate::{Pass, PassOutcome};
-use darm_analysis::{AnalysisManager, Cfg, DivergenceAnalysis, DomTree};
-use darm_ir::{DirtyDelta, Function, JournalCursor};
+use darm_analysis::AnalysisManager;
+use darm_ir::Function;
 use darm_transforms::simplify::SimplifyStats;
-use darm_transforms::{
-    repair_ssa_scoped, run_dce_scoped, run_instcombine_scoped, simplify_cfg_scoped,
-};
-use std::sync::Arc;
-
-/// Common trait of the scoped cleanup adapters: lets drivers pin a pass to
-/// whole-function behavior.
-pub trait ScopedPass: Sized {
-    /// Enables (default) or disables dirty-window scoping.
-    fn with_scoping(self, scoped: bool) -> Self;
-}
-
-/// Below this many live instructions a dirty window sends the scoped
-/// adapters down their whole-function path: the full scan is cheaper than
-/// the journal replay plus scoped bookkeeping it would avoid.
-const SCOPED_MIN_LIVE_INSTS: usize = 128;
-
-/// Journal bookkeeping shared by the scoped adapters.
-#[derive(Debug, Clone)]
-struct ScopeTracker {
-    scoping: bool,
-    cursor: Option<JournalCursor>,
-}
-
-impl Default for ScopeTracker {
-    fn default() -> ScopeTracker {
-        ScopeTracker {
-            scoping: true,
-            cursor: None,
-        }
-    }
-}
-
-impl ScopeTracker {
-    /// The mutation window since the pass's previous run, or `None` for
-    /// whole-function (first run, scoping disabled, saturation, or a
-    /// window so large that replaying it costs more than the
-    /// whole-function work it would save). `Some(clean)` means nothing
-    /// changed — the scoped transforms return immediately.
-    ///
-    /// `work_factor` calibrates the economics: roughly how much more
-    /// expensive the pass's whole-function visit of one instruction is
-    /// than replaying one journal event. Cheap linear scans (DCE,
-    /// instcombine, simplify sweeps) sit near 1; SSA repair — whose
-    /// whole-function scan walks dominator chains per operand — benefits
-    /// from scoping even when the window rivals the function in size.
-    fn window(&self, func: &Function, work_factor: usize) -> Option<DirtyDelta> {
-        if !self.scoping {
-            return None;
-        }
-        let cursor = self.cursor?;
-        let events = match func.probe_since(cursor) {
-            darm_ir::WindowProbe::Clean => return Some(DirtyDelta::default()),
-            darm_ir::WindowProbe::Saturated => return None,
-            darm_ir::WindowProbe::InstsOnly { events } => events,
-            darm_ir::WindowProbe::Shape { events, .. } => events,
-        };
-        // A clean window costs nothing either way, but once there is
-        // anything to replay, a function this small is finished faster by
-        // the plain whole-function scan than by materializing the delta
-        // and running the scoped walk's bookkeeping (measured against the
-        // frozen whole-function baseline on the paper kernels).
-        if func.live_inst_count() < SCOPED_MIN_LIVE_INSTS {
-            return None;
-        }
-        if events > func.live_inst_count().saturating_mul(work_factor) / 2 {
-            return None;
-        }
-        let delta = func.dirty_since(cursor);
-        (!delta.is_saturated()).then_some(delta)
-    }
-
-    /// Marks everything up to the function's current state as processed.
-    fn advance(&mut self, func: &Function) {
-        self.cursor = self.scoping.then(|| func.journal_head());
-    }
-
-    /// Forgets the previous function's cursor (keeps the scoping flag —
-    /// it's configuration, not per-function state).
-    fn reset(&mut self) {
-        self.cursor = None;
-    }
-}
+use darm_transforms::{repair_ssa_with, run_dce, run_instcombine, simplify_cfg_with};
 
 /// `simplifycfg` as a pass. Reports precisely: runs that only removed φs
 /// keep the shape analyses; runs that touched blocks or edges drop all.
 #[derive(Debug, Default)]
 pub struct SimplifyCfgPass {
     total: SimplifyStats,
-    tracker: ScopeTracker,
-}
-
-impl ScopedPass for SimplifyCfgPass {
-    fn with_scoping(mut self, scoped: bool) -> SimplifyCfgPass {
-        self.tracker.scoping = scoped;
-        self
-    }
 }
 
 impl SimplifyCfgPass {
@@ -154,9 +55,7 @@ impl Pass for SimplifyCfgPass {
         func: &mut Function,
         am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
-        let window = self.tracker.window(func, 2);
-        let stats = simplify_cfg_scoped(func, am, window.as_ref());
-        self.tracker.advance(func);
+        let stats = simplify_cfg_with(func, am);
         self.accumulate(&stats);
         Ok(if Self::shape_changes(&stats) > 0 {
             PassOutcome::cfg_changed(stats.total() as u64)
@@ -190,24 +89,13 @@ impl Pass for SimplifyCfgPass {
 
     fn reset(&mut self) {
         self.total = SimplifyStats::default();
-        self.tracker.reset();
     }
 }
 
-/// Dead-code elimination as a pass (instruction-only: keeps CFG shape and,
-/// since removing unused instructions cannot affect remaining values'
-/// divergence, the divergence analysis as well).
+/// Dead-code elimination as a pass (instruction-only, keeps CFG shape).
 #[derive(Debug, Default)]
 pub struct DcePass {
     removed: u64,
-    tracker: ScopeTracker,
-}
-
-impl ScopedPass for DcePass {
-    fn with_scoping(mut self, scoped: bool) -> DcePass {
-        self.tracker.scoping = scoped;
-        self
-    }
 }
 
 impl Pass for DcePass {
@@ -218,20 +106,12 @@ impl Pass for DcePass {
     fn run(
         &mut self,
         func: &mut Function,
-        am: &mut AnalysisManager,
+        _am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
-        let window = self.tracker.window(func, 4);
-        let n = run_dce_scoped(func, window.as_ref()) as u64;
-        self.tracker.advance(func);
+        let n = run_dce(func) as u64;
         self.removed += n;
         Ok(if n > 0 {
-            am.invalidate::<darm_analysis::Liveness>();
-            PassOutcome {
-                preserved: darm_analysis::PreservedAnalyses::cfg_shape()
-                    .preserve::<DivergenceAnalysis>(),
-                changed: true,
-                units: n,
-            }
+            PassOutcome::insts_changed(n)
         } else {
             PassOutcome::unchanged()
         })
@@ -243,7 +123,6 @@ impl Pass for DcePass {
 
     fn reset(&mut self) {
         self.removed = 0;
-        self.tracker.reset();
     }
 }
 
@@ -252,14 +131,6 @@ impl Pass for DcePass {
 #[derive(Debug, Default)]
 pub struct InstCombinePass {
     combined: u64,
-    tracker: ScopeTracker,
-}
-
-impl ScopedPass for InstCombinePass {
-    fn with_scoping(mut self, scoped: bool) -> InstCombinePass {
-        self.tracker.scoping = scoped;
-        self
-    }
 }
 
 impl Pass for InstCombinePass {
@@ -272,9 +143,7 @@ impl Pass for InstCombinePass {
         func: &mut Function,
         am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
-        let window = self.tracker.window(func, 4);
-        let n = run_instcombine_scoped(func, window.as_ref()) as u64;
-        self.tracker.advance(func);
+        let n = run_instcombine(func) as u64;
         self.combined += n;
         Ok(if n > 0 {
             am.invalidate_values();
@@ -290,29 +159,14 @@ impl Pass for InstCombinePass {
 
     fn reset(&mut self) {
         self.combined = 0;
-        self.tracker.reset();
     }
 }
 
 /// IDF-based SSA reconstruction as a pass. φ insertion leaves the block
 /// graph intact, so the shape analyses survive.
-///
-/// The scoped run keeps a *dominator baseline*: the tree as of its
-/// previous run. The diff between baseline and current tree
-/// ([`DomTree::changed_from`]) names every block whose dominance moved —
-/// together with the journal window, exactly where SSA can have broken.
 #[derive(Debug, Default)]
 pub struct SsaRepairPass {
     repaired: u64,
-    tracker: ScopeTracker,
-    baseline: Option<Arc<DomTree>>,
-}
-
-impl ScopedPass for SsaRepairPass {
-    fn with_scoping(mut self, scoped: bool) -> SsaRepairPass {
-        self.tracker.scoping = scoped;
-        self
-    }
 }
 
 impl Pass for SsaRepairPass {
@@ -325,59 +179,7 @@ impl Pass for SsaRepairPass {
         func: &mut Function,
         am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
-        // Baseline resolution: the pass's own previous run, or — for the
-        // very first run under a checkpointing driver — the driver's
-        // repair checkpoint (the function was fully repaired there, so
-        // the window since it bounds every possible defect).
-        let mut scoped = match (self.tracker.window(func, 8), self.baseline.clone()) {
-            (Some(delta), Some(baseline)) => Some((delta, baseline)),
-            _ => None,
-        };
-        if scoped.is_none()
-            && self.tracker.scoping
-            && self.baseline.is_none()
-            && func.live_inst_count() >= SCOPED_MIN_LIVE_INSTS
-        {
-            if let Some((cursor, tree)) = am.take_dom_checkpoint() {
-                let events = match func.probe_since(cursor) {
-                    darm_ir::WindowProbe::Clean => Some(0),
-                    darm_ir::WindowProbe::Saturated => None,
-                    darm_ir::WindowProbe::InstsOnly { events }
-                    | darm_ir::WindowProbe::Shape { events, .. } => Some(events),
-                };
-                if events.is_some_and(|e| e <= func.live_inst_count().saturating_mul(4)) {
-                    let delta = func.dirty_since(cursor);
-                    if !delta.is_saturated() {
-                        scoped = Some((delta, tree));
-                    }
-                }
-            }
-        }
-        let n = match scoped {
-            Some((delta, baseline)) => {
-                let cfg = am.get::<Cfg>(func);
-                let dt = am.get::<DomTree>(func);
-                let dom_changed = DomTree::changed_from(&baseline, &dt, &cfg);
-                // When dominance moved across most of the function (a
-                // meld rewriting the bulk of a small kernel), the scoped
-                // scan degenerates to the whole scan plus bookkeeping —
-                // take the straight path instead.
-                let moved = dom_changed.iter().filter(|&&c| c).count();
-                if moved * 3 > cfg.rpo().len() * 2 {
-                    repair_ssa_scoped(func, am, None) as u64
-                } else {
-                    repair_ssa_scoped(func, am, Some((&delta, &dom_changed))) as u64
-                }
-            }
-            None => repair_ssa_scoped(func, am, None) as u64,
-        };
-        // Repair preserves the block graph, so the tree queried during the
-        // run is the tree of the repaired function: it becomes the next
-        // baseline.
-        if self.tracker.scoping {
-            self.baseline = Some(am.get::<DomTree>(func));
-        }
-        self.tracker.advance(func);
+        let n = repair_ssa_with(func, am) as u64;
         self.repaired += n;
         Ok(if n > 0 {
             PassOutcome::insts_changed(n)
@@ -392,8 +194,6 @@ impl Pass for SsaRepairPass {
 
     fn reset(&mut self) {
         self.repaired = 0;
-        self.tracker.reset();
-        self.baseline = None;
     }
 }
 

@@ -9,7 +9,7 @@
 //! `Send + Sync`: one registry is shared by every worker of a
 //! [`ModulePassManager`](crate::ModulePassManager).
 
-use crate::passes::{FixpointPass, ScopedPass};
+use crate::passes::FixpointPass;
 use crate::spec::{PassSpec, SpecElem};
 use crate::{Pass, PassManager, PipelineError, PipelineOptions};
 use std::collections::BTreeMap;
@@ -87,31 +87,16 @@ impl PassRegistry {
     }
 
     /// A registry holding the generic cleanup passes: `simplify`, `dce`,
-    /// `instcombine`, `ssa-repair` (each accepting `scoped=true|false`,
-    /// default `true`) and `verify`.
+    /// `instcombine`, `ssa-repair` and `verify`.
     pub fn with_transforms() -> PassRegistry {
-        fn scoped(params: &mut PassParams) -> Result<bool, String> {
-            Ok(params.take_parsed::<bool>("scoped")?.unwrap_or(true))
-        }
         let mut r = PassRegistry::empty();
-        r.register_configurable("simplify", |p, _| {
-            Ok(Box::new(
-                crate::SimplifyCfgPass::default().with_scoping(scoped(p)?),
-            ))
-        });
-        r.register_configurable("dce", |p, _| {
-            Ok(Box::new(crate::DcePass::default().with_scoping(scoped(p)?)))
-        });
-        r.register_configurable("instcombine", |p, _| {
-            Ok(Box::new(
-                crate::InstCombinePass::default().with_scoping(scoped(p)?),
-            ))
-        });
-        r.register_configurable("ssa-repair", |p, _| {
-            Ok(Box::new(
-                crate::SsaRepairPass::default().with_scoping(scoped(p)?),
-            ))
-        });
+        r.register("simplify", || Box::new(crate::SimplifyCfgPass::default()));
+        r.register("dce", || Box::new(crate::DcePass::default()));
+        r.register(
+            "instcombine",
+            || Box::new(crate::InstCombinePass::default()),
+        );
+        r.register("ssa-repair", || Box::new(crate::SsaRepairPass::default()));
         r.register("verify", || Box::new(crate::VerifyPass));
         r
     }
@@ -299,7 +284,7 @@ mod tests {
         let r = PassRegistry::with_transforms();
         let pm = r
             .build(
-                "simplify(scoped=false),fixpoint(instcombine,dce,max=4)",
+                "simplify,fixpoint(instcombine,dce,max=4)",
                 PipelineOptions::default(),
             )
             .unwrap();
@@ -339,13 +324,17 @@ mod tests {
 
     #[test]
     fn rejects_bad_parameters_with_the_pass_name() {
-        let r = PassRegistry::with_transforms();
+        let mut r = PassRegistry::with_transforms();
+        r.register_configurable("knob", |p, _| {
+            p.take_parsed::<bool>("on")?;
+            Ok(Box::new(crate::VerifyPass))
+        });
         let e = r
-            .build("dce(scoped=maybe)", PipelineOptions::default())
+            .build("knob(on=maybe)", PipelineOptions::default())
             .unwrap_err();
         let msg = e.to_string();
         assert!(
-            msg.contains("pass 'dce'") && msg.contains("`scoped`") && msg.contains("maybe"),
+            msg.contains("pass 'knob'") && msg.contains("`on`") && msg.contains("maybe"),
             "{msg}"
         );
         let e = r
@@ -363,8 +352,8 @@ mod tests {
         // be misreported as an *unknown* key.
         let r = PassRegistry::with_transforms();
         let e = r
-            .build("dce(scoped=true,scoped=false)", PipelineOptions::default())
+            .build("dce(fast=true,fast=false)", PipelineOptions::default())
             .unwrap_err();
-        assert_eq!(e.to_string(), "pass 'dce': duplicate parameter `scoped`");
+        assert_eq!(e.to_string(), "pass 'dce': duplicate parameter `fast`");
     }
 }

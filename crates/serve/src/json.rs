@@ -98,16 +98,16 @@ impl Json {
     ///
     /// A human-readable message with a byte offset.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
         let mut p = Parser {
-            bytes,
+            text,
+            bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
         p.skip_ws();
-        if p.pos != bytes.len() {
+        if p.pos != text.len() {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(value)
@@ -179,6 +179,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -311,11 +312,13 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = rest.chars().next().expect("peeked non-empty");
+                    // Consume one UTF-8 scalar. Every token ends on a char
+                    // boundary, so slicing the input at `pos` is O(1).
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| format!("invalid utf-8 at byte {}", self.pos))?;
                     if (c as u32) < 0x20 {
                         return Err(format!("raw control character at byte {}", self.pos));
                     }
@@ -466,5 +469,40 @@ mod tests {
         let s = Json::Str("\u{1}".to_string());
         assert_eq!(s.to_string(), "\"\\u0001\"");
         assert_eq!(Json::parse(&s.to_string()).unwrap(), s);
+    }
+
+    #[test]
+    fn multi_byte_scalars_parse() {
+        let v = Json::parse("[\"é\", \"𝄞x\", \"a\\u00e9b\"]").unwrap();
+        assert_eq!(
+            v,
+            Json::Arr(vec![
+                Json::Str("é".to_string()),
+                Json::Str("𝄞x".to_string()),
+                Json::Str("aéb".to_string()),
+            ])
+        );
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        // Raw control characters are still rejected after a wide scalar.
+        assert!(Json::parse("\"𝄞\u{1}\"").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 256 KiB of mixed-width scalars: the per-character scan used to
+        // revalidate the whole remaining input, which took seconds here.
+        let body: String = "aé𝄞".repeat(256 * 1024 / 7);
+        let doc = format!("{{\"ir\": \"{body}\"}}");
+        let t = std::time::Instant::now();
+        let v = Json::parse(&doc).unwrap();
+        let elapsed = t.elapsed();
+        match v {
+            Json::Obj(map) => assert_eq!(map["ir"], Json::Str(body)),
+            other => panic!("expected an object, got {other:?}"),
+        }
+        assert!(
+            elapsed < std::time::Duration::from_secs(2),
+            "256 KiB string took {elapsed:?}"
+        );
     }
 }

@@ -12,60 +12,21 @@
 //! operands moved, and only those re-enter the queue. The rewrite system is
 //! confluent (rewrites only remove instructions and substitute values), so
 //! the fixpoint reached equals the seed implementation's repeated
-//! whole-function sweeps. [`run_instcombine_scoped`] seeds the queue from a
-//! mutation window's dirty region instead of every instruction.
+//! whole-function sweeps.
 
-use darm_ir::{DirtyDelta, Function, InstId, Opcode, Value};
+use darm_ir::{Function, InstId, Opcode, Value};
 
 /// Applies local rewrites to a fixpoint. Returns the number of
 /// simplifications performed.
 pub fn run_instcombine(func: &mut Function) -> usize {
-    run_instcombine_scoped(func, None)
-}
-
-/// [`run_instcombine`] with the initial worklist restricted to `scope`'s
-/// dirty region (`None`, or a saturated delta, means every instruction).
-/// On a function whose untouched remainder is already at the rewrite
-/// fixpoint, the result is identical to the whole-function run.
-pub fn run_instcombine_scoped(func: &mut Function, scope: Option<&DirtyDelta>) -> usize {
     darm_ir::fault::point("transforms::instcombine");
-    if scope.is_some_and(|d| d.is_clean()) {
-        return 0; // nothing mutated since the last run: no new redexes
-    }
-    let mut work: Vec<InstId> = Vec::new();
-    match scope {
-        Some(delta) if !delta.is_saturated() => {
-            let mut seen = vec![false; func.inst_capacity()];
-            for b in delta.blocks.iter() {
-                if !func.is_block_alive(b) {
-                    continue;
-                }
-                for &id in func.insts_of(b) {
-                    if !seen[id.index()] {
-                        seen[id.index()] = true;
-                        work.push(id);
-                    }
-                }
-            }
-            for id in delta.insts.iter() {
-                if func.is_inst_alive(id) && !seen[id.index()] {
-                    seen[id.index()] = true;
-                    work.push(id);
-                }
-            }
-        }
-        _ => {
-            // Sequential arena sweep: a live instruction is exactly one
-            // that sits in a live block's list, and the rewrite system is
-            // confluent, so seeding order only affects intermediate steps.
-            let cap = func.inst_capacity();
-            work.extend(
-                (0..cap)
-                    .map(InstId::new)
-                    .filter(|&id| func.is_inst_alive(id)),
-            );
-        }
-    }
+    // Sequential arena sweep: a live instruction is exactly one that sits
+    // in a live block's list, and the rewrite system is confluent, so
+    // seeding order only affects intermediate steps.
+    let mut work: Vec<InstId> = (0..func.inst_capacity())
+        .map(InstId::new)
+        .filter(|&id| func.is_inst_alive(id))
+        .collect();
     let mut total = 0;
     while let Some(id) = work.pop() {
         if !func.is_inst_alive(id) {
@@ -90,8 +51,11 @@ pub fn run_instcombine_scoped(func: &mut Function, scope: Option<&DirtyDelta>) -
     total
 }
 
-/// Returns the simplified replacement value, if the instruction reduces.
-pub(crate) fn simplify_inst(func: &Function, id: InstId) -> Option<Value> {
+/// Returns the simplified replacement value, if the instruction reduces —
+/// the single-instruction rewrite step, shared with frozen baseline
+/// implementations kept outside this crate.
+#[doc(hidden)]
+pub fn simplify_inst(func: &Function, id: InstId) -> Option<Value> {
     // Full constant folding first; identities afterwards.
     if let Some(v) = fold_constants(func, id) {
         return Some(v);

@@ -1,19 +1,16 @@
 //! CFG simplification, the analogue of LLVM's `simplifycfg`.
 //!
-//! [`simplify_cfg_scoped`] restricts every sub-transform's scan to a
-//! mutation window's dirty blocks plus their one-hop CFG neighborhood
+//! A run sweeps the whole function once, then scopes every later round to
+//! the blocks its own rewrites touched plus their one-hop CFG neighborhood
 //! (every rewrite's enabling condition reads at most a block and its
-//! direct neighbors, and any edge change dirties both endpoints), skipping
-//! the whole-function rescan the seed implementation performed per meld
-//! iteration. Iteration order over the filtered blocks is unchanged, so on
-//! a function whose untouched remainder holds no simplification redexes —
-//! the invariant a fixpoint driver maintains by running whole-function
-//! once up front — the rewrite *sequence*, and therefore every allocated
-//! block/instruction id and the printed IR, is identical to the
-//! whole-function run.
+//! direct neighbors, and any edge change dirties both endpoints), instead
+//! of rescanning the whole function per round. Iteration order over the
+//! filtered blocks is unchanged, so the rewrite *sequence* — and therefore
+//! every allocated block/instruction id and the printed IR — is identical
+//! to whole-function rounds.
 
 use darm_analysis::{AnalysisManager, Cfg};
-use darm_ir::{BlockId, DirtyDelta, Function, InstData, JournalCursor, Opcode, Value};
+use darm_ir::{BlockId, Function, InstData, JournalCursor, Opcode, Value};
 
 /// Statistics of one [`simplify_cfg`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -63,13 +60,31 @@ pub fn simplify_cfg(func: &mut Function) -> SimplifyStats {
 /// sequence — and therefore the resulting IR — is identical to the uncached
 /// version.
 pub fn simplify_cfg_with(func: &mut Function, am: &mut AnalysisManager) -> SimplifyStats {
-    simplify_cfg_scoped(func, am, None)
+    let mut stats = SimplifyStats::default();
+    let mut scope = ScopeState::warmup(func);
+    loop {
+        darm_ir::budget::poll("transforms::simplify");
+        darm_ir::fault::point("transforms::simplify");
+        let mut changed = false;
+        scope.refresh(func, am);
+        if scope.shape_changed() {
+            changed |= remove_unreachable(func, am, &mut stats);
+        }
+        changed |= fold_branches(func, am, &mut stats, &mut scope);
+        changed |= remove_trivial_phis(func, am, &mut stats, &mut scope);
+        changed |= dedup_phis(func, am, &mut stats, &mut scope);
+        changed |= merge_straightline(func, am, &mut stats, &mut scope);
+        changed |= elide_empty_blocks(func, am, &mut stats, &mut scope);
+        scope.end_warmup();
+        if !changed {
+            break;
+        }
+    }
+    stats
 }
 
-/// The live rewrite window of a scoped run: the accumulated dirty region
-/// (initial window plus everything this run has mutated so far) and the
-/// candidate blocks derived from it. Whole-function runs carry no window
-/// and allow everything.
+/// The live rewrite window of a run: the dirty region accumulated from
+/// the run's own mutations and the candidate blocks derived from it.
 ///
 /// Every sub-transform [`refresh`](ScopeState::refresh)es the state at the
 /// top of each of its sweeps, so a rewrite performed by an earlier
@@ -80,12 +95,12 @@ struct ScopeState {
     /// False after saturation: every query answers "whole-function".
     alive: bool,
     /// While set, every block is allowed regardless of the window — the
-    /// *warmup round*. A run that starts without a caller window sweeps
-    /// its first round whole-function; every redex a later round could
-    /// see either lies in the warmup round's own mutation closure (the
-    /// window accumulates it) or would already have been consumed when
-    /// its sub-transform swept the whole function. Rounds after warmup
-    /// therefore scope exactly, with no assumptions about the input.
+    /// *warmup round*. A run sweeps its first round whole-function; every
+    /// redex a later round could see either lies in the warmup round's own
+    /// mutation closure (the window accumulates it) or would already have
+    /// been consumed when its sub-transform swept the whole function.
+    /// Rounds after warmup therefore scope exactly, with no assumptions
+    /// about the input.
     warmup: bool,
     /// Journal position up to which the window has been drained.
     cursor: JournalCursor,
@@ -111,17 +126,6 @@ impl ScopeState {
             cursor: func.journal_head(),
             shape_seen: false,
             pending: Vec::new(),
-            candidates: Vec::new(),
-        }
-    }
-
-    fn scoped(func: &Function, delta: &DirtyDelta) -> ScopeState {
-        ScopeState {
-            alive: true,
-            warmup: false,
-            cursor: func.journal_head(),
-            shape_seen: delta.shape_changed(),
-            pending: delta.blocks.iter().collect(),
             candidates: Vec::new(),
         }
     }
@@ -185,44 +189,6 @@ impl ScopeState {
     }
 }
 
-/// [`simplify_cfg_with`] restricted to a mutation window (see the module
-/// docs for the equivalence argument). `None` — and any saturated window —
-/// falls back to the whole-function scan. Mutations performed by the run
-/// itself extend the window as it goes.
-pub fn simplify_cfg_scoped(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    scope: Option<&DirtyDelta>,
-) -> SimplifyStats {
-    let mut stats = SimplifyStats::default();
-    if scope.is_some_and(|d| d.is_clean()) {
-        return stats; // nothing mutated since the last run: no new redexes
-    }
-    let mut scope = match scope {
-        Some(delta) if !delta.is_saturated() => ScopeState::scoped(func, delta),
-        _ => ScopeState::warmup(func),
-    };
-    loop {
-        darm_ir::budget::poll("transforms::simplify");
-        darm_ir::fault::point("transforms::simplify");
-        let mut changed = false;
-        scope.refresh(func, am);
-        if scope.shape_changed() {
-            changed |= remove_unreachable(func, am, &mut stats);
-        }
-        changed |= fold_branches(func, am, &mut stats, &mut scope);
-        changed |= remove_trivial_phis(func, am, &mut stats, &mut scope);
-        changed |= dedup_phis(func, am, &mut stats, &mut scope);
-        changed |= merge_straightline(func, am, &mut stats, &mut scope);
-        changed |= elide_empty_blocks(func, am, &mut stats, &mut scope);
-        scope.end_warmup();
-        if !changed {
-            break;
-        }
-    }
-    stats
-}
-
 fn remove_unreachable(
     func: &mut Function,
     am: &mut AnalysisManager,
@@ -252,8 +218,7 @@ fn remove_unreachable(
         changed = true;
     }
     // No explicit invalidation: every mutation above is journaled, and the
-    // manager reconciles each cached entry with its own window at the next
-    // query (keeping or updating the dominator trees in place).
+    // manager's read rule drops what it changed at the next query.
     changed
 }
 
@@ -299,8 +264,7 @@ fn fold_branches(
         }
     }
     // No explicit invalidation: every mutation above is journaled, and the
-    // manager reconciles each cached entry with its own window at the next
-    // query (keeping or updating the dominator trees in place).
+    // manager's read rule drops what it changed at the next query.
     changed
 }
 
@@ -485,8 +449,7 @@ fn merge_straightline(
         }
     }
     // No explicit invalidation: every mutation above is journaled, and the
-    // manager reconciles each cached entry with its own window at the next
-    // query (keeping or updating the dominator trees in place).
+    // manager's read rule drops what it changed at the next query.
     changed
 }
 
@@ -604,8 +567,7 @@ fn elide_empty_blocks(
         }
     }
     // No explicit invalidation: every mutation above is journaled, and the
-    // manager reconciles each cached entry with its own window at the next
-    // query (keeping or updating the dominator trees in place).
+    // manager's read rule drops what it changed at the next query.
     changed
 }
 

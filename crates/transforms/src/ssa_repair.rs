@@ -9,7 +9,7 @@
 //! `undef` on paths that never execute the definition.
 
 use darm_analysis::{AnalysisManager, Cfg, DomTree};
-use darm_ir::{BlockId, DirtyDelta, Function, InstData, InstId, Opcode, Value};
+use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Value};
 use std::collections::HashMap;
 
 /// Repairs every definition whose uses are no longer dominated. Returns the
@@ -24,30 +24,8 @@ pub fn repair_ssa(func: &mut Function) -> usize {
 /// uncached version recomputes both per definition), and both stay valid in
 /// the cache for the caller. Instruction-sensitive analyses are dropped.
 pub fn repair_ssa_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
-    repair_ssa_scoped(func, am, None)
-}
-
-/// [`repair_ssa_with`] with the broken-definition scan restricted to where
-/// SSA can actually have broken since the last repair: instructions in the
-/// window's dirty blocks, touched instructions, and — because dominance is
-/// a global property — every block whose dominator chain changed between
-/// the caller-provided `dom_changed` baseline diff (see
-/// [`DomTree::changed_from`]) and now. On a function that was fully
-/// repaired at the baseline, the scan finds exactly the defects the
-/// whole-function scan finds, in the same order.
-pub fn repair_ssa_scoped(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    scope: Option<(&DirtyDelta, &[bool])>,
-) -> usize {
     darm_ir::fault::point("transforms::ssa-repair");
-    if scope.is_some_and(|(d, _)| d.is_clean()) {
-        return 0; // nothing mutated since the last repair: SSA still valid
-    }
     let mut repaired = 0;
-    // The accumulated window: the caller's delta plus the repairs' own
-    // mutations, drained incrementally (each journal event replays once).
-    let mut acc = scope.map(|(delta, _)| (delta.clone(), func.journal_head()));
     // Reconstruction leaves the block graph intact, so the dominance
     // frontiers feeding φ placement are computed at most once per repair
     // run and shared across every reconstructed definition.
@@ -57,20 +35,7 @@ pub fn repair_ssa_scoped(
     loop {
         let cfg = am.get::<Cfg>(func);
         let dt = am.get::<DomTree>(func);
-        if let Some((delta, cursor)) = &mut acc {
-            delta.merge(&func.dirty_since(*cursor));
-            *cursor = func.journal_head();
-            if delta.is_saturated() {
-                acc = None;
-            }
-        }
-        let found = match (&acc, scope) {
-            (Some((delta, _)), Some((_, dom_changed))) => {
-                find_broken_def(func, &cfg, &dt, Some((delta, dom_changed)))
-            }
-            _ => find_broken_def(func, &cfg, &dt, None),
-        };
-        let Some(def) = found else {
+        let Some(def) = find_broken_def(func, &cfg, &dt) else {
             break;
         };
         let df = frontiers.get_or_insert_with(|| dt.dominance_frontiers(&cfg));
@@ -81,53 +46,21 @@ pub fn repair_ssa_scoped(
     repaired
 }
 
-/// Finds one definition with a non-dominated use, if any. With a scope,
-/// only *candidate* uses are checked — uses that are dirty themselves, sit
-/// in a dirty block, or sit where dominance moved (`dom_changed`); every
-/// other def-use pair was valid at the baseline and nothing that decides
-/// its validity has changed.
-fn find_broken_def(
-    func: &Function,
-    cfg: &Cfg,
-    dt: &DomTree,
-    scope: Option<(&DirtyDelta, &[bool])>,
-) -> Option<InstId> {
-    let dom_moved = |b: BlockId| match scope {
-        None => true,
-        Some((_, dom_changed)) => dom_changed.get(b.index()).copied().unwrap_or(true),
-    };
-    let block_dirty = |b: BlockId| match scope {
-        None => true,
-        Some((delta, _)) => delta.blocks.contains(b),
-    };
-    let inst_dirty = |id: InstId| match scope {
-        None => true,
-        Some((delta, _)) => delta.insts.contains(id),
-    };
-    // Block-local instruction positions, built lazily per block the scan
-    // actually needs ordering for (the whole-function path prebuilds all).
+/// Finds one definition with a non-dominated use, if any.
+fn find_broken_def(func: &Function, cfg: &Cfg, dt: &DomTree) -> Option<InstId> {
+    // Block-local instruction positions, for same-block def-use ordering.
     let mut pos = vec![usize::MAX; func.inst_capacity()];
-    let mut pos_built = vec![scope.is_none(); func.block_capacity()];
-    if scope.is_none() {
-        for &b in cfg.rpo() {
-            for (k, &id) in func.insts_of(b).iter().enumerate() {
-                pos[id.index()] = k;
-            }
+    for &b in cfg.rpo() {
+        for (k, &id) in func.insts_of(b).iter().enumerate() {
+            pos[id.index()] = k;
         }
     }
     for &b in cfg.rpo() {
-        let b_interesting = block_dirty(b) || dom_moved(b);
         for &id in func.insts_of(b) {
             let inst = func.inst(id);
             if inst.opcode == Opcode::Phi {
-                let phi_dirty = b_interesting || inst_dirty(id);
                 for (pred, val) in inst.phi_incoming() {
                     let Value::Inst(def) = val else { continue };
-                    // A (pred, def) arm can newly break only if the φ or
-                    // the def moved, or dominance moved at the pred.
-                    if !phi_dirty && !inst_dirty(def) && !dom_moved(pred) {
-                        continue;
-                    }
                     if !cfg.is_reachable(pred) {
                         continue;
                     }
@@ -136,20 +69,10 @@ fn find_broken_def(
                     }
                 }
             } else {
-                let use_dirty = b_interesting || inst_dirty(id);
                 for &op in &inst.operands {
                     let Value::Inst(def) = op else { continue };
-                    if !use_dirty && !inst_dirty(def) {
-                        continue;
-                    }
                     let db = func.inst(def).block;
                     let ok = if db == b {
-                        if !pos_built[b.index()] {
-                            pos_built[b.index()] = true;
-                            for (k, &i) in func.insts_of(b).iter().enumerate() {
-                                pos[i.index()] = k;
-                            }
-                        }
                         pos[def.index()] < pos[id.index()]
                     } else {
                         dt.dominates(db, b)
