@@ -30,24 +30,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use darm_bench::reference::{meld_function_pr2, meld_function_reference};
-use darm_bench::{fig8_cases, geomean, perfjson};
+use darm_bench::{fig8_cases, geomean, perfjson, time_per_call};
 use darm_kernels::BenchCase;
 use darm_melding::{meld_function, MeldConfig};
-use std::time::Instant;
-
-/// Times `f` over enough repetitions to fill ~20 ms, returning seconds per
-/// call.
-fn time_per_call(mut f: impl FnMut()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    let once = t0.elapsed().as_secs_f64().max(1e-6);
-    let reps = ((0.02 / once).ceil() as usize).clamp(3, 500);
-    let t1 = Instant::now();
-    for _ in 0..reps {
-        f();
-    }
-    t1.elapsed().as_secs_f64() / reps as f64
-}
 
 /// Interleaved min-estimator comparison of the shipped driver vs the
 /// frozen PR 2 driver over `cases`, clone cost excluded. Returns per-case

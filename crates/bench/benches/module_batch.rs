@@ -13,9 +13,15 @@
 //! bit-identical, plus a check that the worker pool's schedule really is
 //! largest-kernel-first. With `DARM_BENCH_JSON=path` both modes record
 //! the serial-vs-parallel wall ratio for the perf-gate trajectory.
+//!
+//! Both modes also time the text boundary: `module_batch/parse_vs_clone`
+//! (smoke mode; `measured/…` in full runs) is the time to clone the suite module divided by the time to parse its
+//! printed text (interleaved min of rounds), i.e. how close parsing gets
+//! to building the same IR in memory.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use darm_bench::{fig8_cases, fig9_cases, perfjson, suite_module};
+use darm_bench::{fig8_cases, fig9_cases, perfjson, suite_module, time_per_call};
+use darm_ir::parser::parse_module;
 use darm_ir::Module;
 use darm_kernels::BenchCase;
 use darm_melding::MeldConfig;
@@ -48,6 +54,24 @@ fn meld_with_jobs(registry: &PassRegistry, module: &Module, jobs: usize) -> (Mod
     let wall = t0.elapsed().as_secs_f64();
     assert_eq!(report.functions.len(), module.len());
     (m, wall)
+}
+
+/// Clone time ÷ parse time of `module` and its printed text, interleaved
+/// min over `rounds`.
+fn parse_vs_clone(module: &Module, rounds: usize) -> f64 {
+    let text = module.to_string();
+    let reparsed = parse_module(&text).expect("the printed suite parses");
+    assert_eq!(reparsed.len(), module.len());
+    let (mut t_clone, mut t_parse) = (f64::MAX, f64::MAX);
+    for _ in 0..rounds {
+        t_clone = t_clone.min(time_per_call(|| {
+            std::hint::black_box(module.clone());
+        }));
+        t_parse = t_parse.min(time_per_call(|| {
+            std::hint::black_box(parse_module(&text).expect("the printed suite parses"));
+        }));
+    }
+    t_clone / t_parse
 }
 
 fn bench(c: &mut Criterion) {
@@ -94,7 +118,14 @@ fn bench(c: &mut Criterion) {
         "--jobs 2 output diverged from --jobs 1"
     );
 
+    let parse_ratio = parse_vs_clone(&module, 25);
+    println!(
+        "module_batch: parsing the printed suite takes {:.2}x a clone",
+        1.0 / parse_ratio
+    );
+
     if c.is_test_mode() {
+        perfjson::record("module_batch/parse_vs_clone", parse_ratio);
         println!(
             "module_batch guard: {} kernels, --jobs 2 bit-identical to serial (largest-first schedule)",
             module.len()
@@ -143,6 +174,7 @@ fn bench(c: &mut Criterion) {
         "measured/module_batch/parallel_vs_serial",
         t_serial / t_parallel,
     );
+    perfjson::record("measured/module_batch/parse_vs_clone", parse_ratio);
 }
 
 criterion_group!(benches, bench);

@@ -25,6 +25,7 @@ use darm_kernels::{bitonic, dct, lud, mergesort, nqueens, pcm, srad, BenchCase};
 use darm_melding::{meld_function, MeldConfig, MeldStats};
 use darm_pipeline::{ModuleOptions, ModulePassManager, PipelineError, PipelineOptions};
 use darm_simt::{GpuConfig, KernelStats, PreparedKernel, TimingConfig};
+use std::time::Instant;
 
 /// Counters for the three variants of one benchmark case.
 #[derive(Debug, Clone)]
@@ -228,6 +229,21 @@ pub fn run_cases_with(cases: &[BenchCase], config: &MeldConfig, jobs: usize) -> 
             }
         })
         .collect()
+}
+
+/// Times `f` over enough repetitions to fill ~20 ms, returning seconds per
+/// call — one sample of the interleaved min-of-rounds estimator the
+/// compile-time benches use (noise only ever adds time).
+pub fn time_per_call(mut f: impl FnMut()) -> f64 {
+    let t0 = Instant::now();
+    f();
+    let once = t0.elapsed().as_secs_f64().max(1e-6);
+    let reps = ((0.02 / once).ceil() as usize).clamp(3, 500);
+    let t1 = Instant::now();
+    for _ in 0..reps {
+        f();
+    }
+    t1.elapsed().as_secs_f64() / reps as f64
 }
 
 /// Geometric mean. Empty input yields `1.0` (the empty product), so a

@@ -271,6 +271,42 @@ impl Function {
         f
     }
 
+    /// Assembles a function from finished arenas, the way [`Clone`] does:
+    /// no journal events, and no [`Function::add_block`] uniqueness scan
+    /// (which is linear in the block count). For the parser, which has
+    /// already rejected duplicate labels and set every instruction's
+    /// `block`. `blocks` holds each block's label and instruction list in
+    /// creation order, entry first, and must not be empty.
+    pub(crate) fn from_parts(
+        name: &str,
+        params: Vec<Type>,
+        ret: Type,
+        shared: Vec<SharedArray>,
+        blocks: Vec<(&str, Vec<InstId>)>,
+        insts: Vec<InstData>,
+    ) -> Function {
+        debug_assert!(!blocks.is_empty(), "a function has an entry block");
+        Function {
+            name: name.to_string(),
+            params,
+            ret,
+            live_blocks: blocks.len(),
+            blocks: blocks
+                .into_iter()
+                .map(|(name, insts)| BlockData2 {
+                    name: name.to_string(),
+                    insts,
+                    alive: true,
+                })
+                .collect(),
+            dead_insts: vec![false; insts.len()],
+            insts,
+            entry: BlockId::new(0),
+            shared,
+            journal: MutationJournal::new(),
+        }
+    }
+
     // ---- mutation journal ----
 
     /// The cursor marking "now" in the mutation journal; replaying from it
@@ -873,7 +909,7 @@ impl Function {
             Err(IrError::BadOperands(format!(
                 "%{} ({}) in {block_name}: {msg}",
                 id.index(),
-                inst.opcode.mnemonic()
+                inst.opcode
             )))
         };
         // Dangling value / successor checks.

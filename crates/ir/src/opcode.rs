@@ -14,10 +14,10 @@ pub enum Dim {
 
 impl fmt::Display for Dim {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Dim::X => write!(f, "x"),
-            Dim::Y => write!(f, "y"),
-        }
+        f.write_str(match self {
+            Dim::X => "x",
+            Dim::Y => "y",
+        })
     }
 }
 
@@ -264,54 +264,67 @@ impl Opcode {
                 | Opcode::FMul
         )
     }
+}
 
-    /// Textual mnemonic used by the printer.
-    pub fn mnemonic(self) -> String {
-        match self {
-            Opcode::Add => "add".into(),
-            Opcode::Sub => "sub".into(),
-            Opcode::Mul => "mul".into(),
-            Opcode::SDiv => "sdiv".into(),
-            Opcode::SRem => "srem".into(),
-            Opcode::UDiv => "udiv".into(),
-            Opcode::URem => "urem".into(),
-            Opcode::And => "and".into(),
-            Opcode::Or => "or".into(),
-            Opcode::Xor => "xor".into(),
-            Opcode::Shl => "shl".into(),
-            Opcode::LShr => "lshr".into(),
-            Opcode::AShr => "ashr".into(),
-            Opcode::FAdd => "fadd".into(),
-            Opcode::FSub => "fsub".into(),
-            Opcode::FMul => "fmul".into(),
-            Opcode::FDiv => "fdiv".into(),
-            Opcode::FSqrt => "fsqrt".into(),
-            Opcode::FAbs => "fabs".into(),
-            Opcode::FNeg => "fneg".into(),
-            Opcode::FExp => "fexp".into(),
-            Opcode::Icmp(p) => format!("icmp {}", p.mnemonic()),
-            Opcode::Fcmp(p) => format!("fcmp {}", p.mnemonic()),
-            Opcode::Select => "select".into(),
-            Opcode::Zext => "zext".into(),
-            Opcode::Sext => "sext".into(),
-            Opcode::Trunc => "trunc".into(),
-            Opcode::SiToFp => "sitofp".into(),
-            Opcode::FpToSi => "fptosi".into(),
-            Opcode::Load => "load".into(),
-            Opcode::Store => "store".into(),
-            Opcode::Gep { elem } => format!("gep {elem}"),
-            Opcode::ThreadIdx(d) => format!("tid.{d}"),
-            Opcode::BlockIdx(d) => format!("ctaid.{d}"),
-            Opcode::BlockDim(d) => format!("ntid.{d}"),
-            Opcode::GridDim(d) => format!("nctaid.{d}"),
-            Opcode::SharedBase(i) => format!("shared.base {i}"),
-            Opcode::Syncthreads => "bar.sync".into(),
-            Opcode::Ballot => "ballot".into(),
-            Opcode::Phi => "phi".into(),
-            Opcode::Br => "br".into(),
-            Opcode::Jump => "jump".into(),
-            Opcode::Ret => "ret".into(),
-        }
+/// The textual mnemonic the printer writes and the parser reads (`add`,
+/// `icmp slt`, `gep i32`, `tid.x`, ...).
+impl fmt::Display for Opcode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let name = match *self {
+            Opcode::Add => "add",
+            Opcode::Sub => "sub",
+            Opcode::Mul => "mul",
+            Opcode::SDiv => "sdiv",
+            Opcode::SRem => "srem",
+            Opcode::UDiv => "udiv",
+            Opcode::URem => "urem",
+            Opcode::And => "and",
+            Opcode::Or => "or",
+            Opcode::Xor => "xor",
+            Opcode::Shl => "shl",
+            Opcode::LShr => "lshr",
+            Opcode::AShr => "ashr",
+            Opcode::FAdd => "fadd",
+            Opcode::FSub => "fsub",
+            Opcode::FMul => "fmul",
+            Opcode::FDiv => "fdiv",
+            Opcode::FSqrt => "fsqrt",
+            Opcode::FAbs => "fabs",
+            Opcode::FNeg => "fneg",
+            Opcode::FExp => "fexp",
+            Opcode::Icmp(p) => {
+                f.write_str("icmp ")?;
+                p.mnemonic()
+            }
+            Opcode::Fcmp(p) => {
+                f.write_str("fcmp ")?;
+                p.mnemonic()
+            }
+            Opcode::Select => "select",
+            Opcode::Zext => "zext",
+            Opcode::Sext => "sext",
+            Opcode::Trunc => "trunc",
+            Opcode::SiToFp => "sitofp",
+            Opcode::FpToSi => "fptosi",
+            Opcode::Load => "load",
+            Opcode::Store => "store",
+            Opcode::Gep { elem } => {
+                f.write_str("gep ")?;
+                return fmt::Display::fmt(&elem, f);
+            }
+            Opcode::ThreadIdx(d) => return write!(f, "tid.{d}"),
+            Opcode::BlockIdx(d) => return write!(f, "ctaid.{d}"),
+            Opcode::BlockDim(d) => return write!(f, "ntid.{d}"),
+            Opcode::GridDim(d) => return write!(f, "nctaid.{d}"),
+            Opcode::SharedBase(i) => return write!(f, "shared.base {i}"),
+            Opcode::Syncthreads => "bar.sync",
+            Opcode::Ballot => "ballot",
+            Opcode::Phi => "phi",
+            Opcode::Br => "br",
+            Opcode::Jump => "jump",
+            Opcode::Ret => "ret",
+        };
+        f.write_str(name)
     }
 }
 
@@ -354,8 +367,9 @@ mod tests {
 
     #[test]
     fn mnemonics() {
-        assert_eq!(Opcode::Icmp(IcmpPred::Slt).mnemonic(), "icmp slt");
-        assert_eq!(Opcode::Gep { elem: Type::I32 }.mnemonic(), "gep i32");
-        assert_eq!(Opcode::ThreadIdx(Dim::X).mnemonic(), "tid.x");
+        assert_eq!(Opcode::Icmp(IcmpPred::Slt).to_string(), "icmp slt");
+        assert_eq!(Opcode::Gep { elem: Type::I32 }.to_string(), "gep i32");
+        assert_eq!(Opcode::ThreadIdx(Dim::X).to_string(), "tid.x");
+        assert_eq!(Opcode::SharedBase(2).to_string(), "shared.base 2");
     }
 }

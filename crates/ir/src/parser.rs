@@ -20,8 +20,37 @@
 //! assert_eq!(f.name(), "axpy");
 //! assert!(f.verify_structure().is_ok());
 //! ```
+//!
+//! # How the text is read
+//!
+//! The input is walked once. [`parse_module`] cuts it into functions as it
+//! goes and hands each one its significant lines — trimmed, with blank and
+//! `//` comment lines dropped — as `&str` slices of the input; nothing is
+//! copied or re-joined. Within a function, a scan of those lines declares
+//! the shared arrays and creates the blocks in label order (a branch may
+//! name a later block), then one pass over them builds the instructions in
+//! text order, so instruction ids follow the text.
+//!
+//! Tokens, labels and value names stay borrowed slices of the input, and
+//! the label and value-name tables are keyed by them. Their memory is
+//! O(input) whatever the names spell: `%4000000000` is just a key. (Names
+//! in the printer's `%N` form index a dense table bounded by the line
+//! count instead of being hashed.) Error messages are built only when
+//! parsing fails.
+//!
+//! **Forward references.** An operand naming a value whose definition has
+//! already been parsed is resolved when its instruction is created. Only
+//! uses that come before their definition in the text — φ back-edge
+//! values, and uses in a block printed before the defining block — are
+//! recorded and patched once the function's last line is read; a name that
+//! is still undefined then is an error at the use's line. Value names are
+//! unique within a function, and `%argN` must name a declared parameter.
+//!
+//! Result types that depend on operands (binary ops, `select`, `gep`) are
+//! placeholders until [`fixup_types`] runs; [`parse_and_verify`] and
+//! [`parse_and_verify_module`] run it.
 
-use crate::function::{BlockId, Function, InstData, InstId};
+use crate::function::{BlockId, Function, InstData, InstId, SharedArray};
 use crate::module::Module;
 use crate::opcode::{Dim, FcmpPred, IcmpPred, Opcode};
 use crate::types::{AddrSpace, Type};
@@ -47,10 +76,52 @@ impl fmt::Display for ParseError {
 
 impl Error for ParseError {}
 
-fn err<T>(line: usize, message: impl Into<String>) -> Result<T, ParseError> {
-    Err(ParseError {
+fn perr(line: usize, message: impl Into<String>) -> ParseError {
+    ParseError {
         line,
         message: message.into(),
+    }
+}
+
+/// [`str::trim`], with a fast path for the ASCII whitespace the printer
+/// writes: the full Unicode trim runs only when what is left at either end
+/// may still be whitespace to it (a non-ASCII byte, or the vertical tab,
+/// which `trim_ascii` keeps).
+fn trim(s: &str) -> &str {
+    let t = s.trim_ascii();
+    let maybe_space = |b: &u8| !b.is_ascii() || *b == b'\x0b';
+    if t.as_bytes().first().is_some_and(maybe_space) || t.as_bytes().last().is_some_and(maybe_space)
+    {
+        t.trim()
+    } else {
+        t
+    }
+}
+
+/// `s.split_once(b)` for an ASCII byte `b`, as a plain byte scan: on the
+/// short lines and tokens of IR text it beats `str`'s memchr-based search.
+fn split_at_byte(s: &str, b: u8) -> Option<(&str, &str)> {
+    let i = s.bytes().position(|c| c == b)?;
+    Some((&s[..i], &s[i + 1..]))
+}
+
+/// A significant input line: its 1-based number and trimmed text.
+type Line<'a> = (usize, &'a str);
+
+/// The significant lines of `text`: its lines (split at `\n`, like
+/// [`str::lines`]), trimmed, with blank and `//` comment lines dropped.
+fn significant_lines(text: &str) -> impl Iterator<Item = Line<'_>> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let s = rest?;
+        let (raw, tail) = split_at_byte(s, b'\n').map_or((s, None), |(l, t)| (l, Some(t)));
+        rest = tail;
+        Some(raw)
+    })
+    .enumerate()
+    .filter_map(|(i, raw)| {
+        let l = trim(raw);
+        (!l.is_empty() && !l.starts_with("//")).then_some((i + 1, l))
     })
 }
 
@@ -63,55 +134,45 @@ fn parse_type(s: &str, line: usize) -> Result<Type, ParseError> {
         "f32" => Ok(Type::F32),
         "ptr(global)" => Ok(Type::Ptr(AddrSpace::Global)),
         "ptr(shared)" => Ok(Type::Ptr(AddrSpace::Shared)),
-        _ => err(line, format!("unknown type `{s}`")),
+        _ => Err(perr(line, format!("unknown type `{s}`"))),
     }
 }
 
-/// Parses a value token in the context of the growing function.
+/// Parses a value token. `Ok(None)` is a `%name` not defined yet — a
+/// forward reference for the caller to record.
 fn parse_value(
     tok: &str,
-    names: &HashMap<String, InstId>,
+    names: &Names<'_>,
+    params: usize,
     line: usize,
-) -> Result<Value, ParseError> {
-    let tok = tok.trim();
+) -> Result<Option<Value>, ParseError> {
     if let Some(rest) = tok.strip_prefix("%arg") {
-        return rest
-            .parse::<u32>()
-            .map(Value::Param)
-            .map_err(|_| ParseError {
-                line,
-                message: format!("bad parameter `{tok}`"),
-            });
-    }
-    if tok.starts_with('%') {
-        return match names.get(tok) {
-            Some(&id) => Ok(Value::Inst(id)),
-            None => err(line, format!("undefined value `{tok}`")),
+        return match rest.parse::<u32>() {
+            Ok(i) if (i as usize) < params => Ok(Some(Value::Param(i))),
+            _ => Err(perr(line, format!("bad parameter `{tok}`"))),
         };
     }
-    if tok == "true" {
-        return Ok(Value::I1(true));
+    if tok.starts_with('%') {
+        return Ok(names.get(tok).map(Value::Inst));
     }
-    if tok == "false" {
-        return Ok(Value::I1(false));
-    }
-    if let Some(rest) = tok.strip_prefix("undef:") {
-        return Ok(Value::Undef(parse_type(rest, line)?));
-    }
-    if let Some(rest) = tok.strip_suffix("i64") {
-        if let Ok(x) = rest.parse::<i64>() {
-            return Ok(Value::I64(x));
+    let v = match tok {
+        "true" => Value::I1(true),
+        "false" => Value::I1(false),
+        _ => {
+            if let Some(rest) = tok.strip_prefix("undef:") {
+                Value::Undef(parse_type(rest, line)?)
+            } else if let Some(x) = tok.strip_suffix("i64").and_then(|r| r.parse().ok()) {
+                Value::I64(x)
+            } else if let Some(x) = tok.strip_suffix('f').and_then(|r| r.parse().ok()) {
+                Value::const_f32(x)
+            } else if let Ok(x) = tok.parse() {
+                Value::I32(x)
+            } else {
+                return Err(perr(line, format!("cannot parse value `{tok}`")));
+            }
         }
-    }
-    if let Some(rest) = tok.strip_suffix('f') {
-        if let Ok(x) = rest.parse::<f32>() {
-            return Ok(Value::const_f32(x));
-        }
-    }
-    if let Ok(x) = tok.parse::<i32>() {
-        return Ok(Value::I32(x));
-    }
-    err(line, format!("cannot parse value `{tok}`"))
+    };
+    Ok(Some(v))
 }
 
 fn parse_icmp_pred(s: &str, line: usize) -> Result<IcmpPred, ParseError> {
@@ -127,7 +188,7 @@ fn parse_icmp_pred(s: &str, line: usize) -> Result<IcmpPred, ParseError> {
         "ule" => Ule,
         "ugt" => Ugt,
         "uge" => Uge,
-        _ => return err(line, format!("unknown icmp predicate `{s}`")),
+        _ => return Err(perr(line, format!("unknown icmp predicate `{s}`"))),
     })
 }
 
@@ -140,7 +201,7 @@ fn parse_fcmp_pred(s: &str, line: usize) -> Result<FcmpPred, ParseError> {
         "ole" => Ole,
         "ogt" => Ogt,
         "oge" => Oge,
-        _ => return err(line, format!("unknown fcmp predicate `{s}`")),
+        _ => return Err(perr(line, format!("unknown fcmp predicate `{s}`"))),
     })
 }
 
@@ -148,37 +209,479 @@ fn parse_dim(s: &str, line: usize) -> Result<Dim, ParseError> {
     match s {
         "x" => Ok(Dim::X),
         "y" => Ok(Dim::Y),
-        _ => err(line, format!("unknown dimension `{s}`")),
+        _ => Err(perr(line, format!("unknown dimension `{s}`"))),
     }
 }
 
-/// Splits an operand list on top-level commas (commas inside `[...]` are
-/// respected for φ incoming lists).
-fn split_operands(s: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0;
-    let mut cur = String::new();
-    for ch in s.chars() {
-        match ch {
-            '[' => {
-                depth += 1;
-                cur.push(ch);
+/// Splits an operand list on top-level commas into `out`, trimmed (commas
+/// inside `[...]` belong to φ entries). An empty last operand is dropped;
+/// empty inner ones are kept for the value parser to reject.
+fn split_operands<'a>(s: &'a str, out: &mut Vec<&'a str>) {
+    out.clear();
+    let mut depth = 0i32;
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        match b {
+            b'[' => depth += 1,
+            b']' => depth -= 1,
+            b',' if depth == 0 => {
+                out.push(trim(&s[start..i]));
+                start = i + 1;
             }
-            ']' => {
-                depth -= 1;
-                cur.push(ch);
-            }
-            ',' if depth == 0 => {
-                out.push(cur.trim().to_string());
-                cur = String::new();
-            }
-            _ => cur.push(ch),
+            _ => {}
         }
     }
-    if !cur.trim().is_empty() {
-        out.push(cur.trim().to_string());
+    let last = trim(&s[start..]);
+    if !last.is_empty() {
+        out.push(last);
     }
-    out
+}
+
+/// Parses a header `fn @name(TYPE %argN, ...) -> TYPE {` into the name,
+/// parameter types and return type.
+fn parse_header(header: &str, line: usize) -> Result<(&str, Vec<Type>, Type), ParseError> {
+    let header = header
+        .strip_prefix("fn @")
+        .ok_or_else(|| perr(line, "expected `fn @name(...)`"))?;
+    let open = header.find('(').ok_or_else(|| perr(line, "expected `(`"))?;
+    let close = header
+        .rfind(')')
+        .ok_or_else(|| perr(line, "expected `)`"))?;
+    if close < open {
+        return Err(perr(line, "expected `)` after `(`"));
+    }
+    let ret_src = header[close + 1..]
+        .trim()
+        .strip_prefix("->")
+        .and_then(|r| r.trim().strip_suffix('{'))
+        .ok_or_else(|| perr(line, "expected `-> TYPE {`"))?;
+    let ret = parse_type(ret_src.trim(), line)?;
+    let mut params = Vec::new();
+    for (k, p) in header[open + 1..close]
+        .split(',')
+        .filter(|p| !p.trim().is_empty())
+        .enumerate()
+    {
+        let (ty_src, _) = p
+            .trim()
+            .rsplit_once(' ')
+            .ok_or_else(|| perr(line, format!("bad parameter {k}")))?;
+        params.push(parse_type(ty_src.trim(), line)?);
+    }
+    Ok((&header[..open], params, ret))
+}
+
+/// Parses `shared NAME : [LEN x TYPE]` (after the `shared ` keyword).
+fn parse_shared(decl: &str, line: usize) -> Result<SharedArray, ParseError> {
+    let bad = || perr(line, "bad shared declaration");
+    let (name, rest) = decl.split_once(':').ok_or_else(bad)?;
+    let (len_src, ty_src) = rest
+        .trim()
+        .strip_prefix('[')
+        .and_then(|r| r.strip_suffix(']'))
+        .and_then(|r| r.split_once(" x "))
+        .ok_or_else(bad)?;
+    let len = len_src
+        .trim()
+        .parse()
+        .map_err(|_| perr(line, "bad shared length"))?;
+    Ok(SharedArray {
+        name: name.trim().to_string(),
+        elem: parse_type(ty_src.trim(), line)?,
+        len,
+    })
+}
+
+/// Splits `%name = BODY` into the result name and body; any other line is
+/// all body.
+fn split_result(l: &str) -> (Option<&str>, &str) {
+    if l.starts_with('%') {
+        if let Some((lhs, rhs)) = split_at_byte(l, b'=') {
+            let lhs = lhs.trim_end();
+            if !lhs.contains(' ') {
+                return (Some(lhs), trim(rhs));
+            }
+        }
+    }
+    (None, l)
+}
+
+/// Value name → defining instruction, keyed by the name token. The printer
+/// names values `%N`: a name in that form (decimal, no leading zero) with
+/// N below a limit proportional to the function's line count indexes a
+/// dense table instead of being hashed. Any other name — `%x`, `%007`,
+/// `%4000000000` — goes to a map. Either way the size is O(input).
+#[derive(Default)]
+struct Names<'a> {
+    dense: Vec<Option<InstId>>,
+    dense_limit: usize,
+    map: HashMap<&'a str, InstId>,
+}
+
+impl<'a> Names<'a> {
+    /// Empties the table for a function of `lines` lines.
+    fn reset(&mut self, lines: usize) {
+        self.dense.clear();
+        self.map.clear();
+        self.dense_limit = 4 * lines + 64;
+    }
+
+    /// The dense-table slot of `name`, if it has one.
+    fn slot(&self, name: &str) -> Option<usize> {
+        let digits = name.strip_prefix('%')?;
+        if digits.is_empty() || digits.len() > 9 || (digits.len() > 1 && digits.starts_with('0')) {
+            return None;
+        }
+        let mut n = 0;
+        for b in digits.bytes() {
+            if !b.is_ascii_digit() {
+                return None;
+            }
+            n = n * 10 + usize::from(b - b'0');
+        }
+        (n < self.dense_limit).then_some(n)
+    }
+
+    fn get(&self, name: &str) -> Option<InstId> {
+        match self.slot(name) {
+            Some(n) => self.dense.get(n).copied().flatten(),
+            None => self.map.get(name).copied(),
+        }
+    }
+
+    /// Defines `name`; `false` if it was already defined.
+    fn insert(&mut self, name: &'a str, id: InstId) -> bool {
+        match self.slot(name) {
+            Some(n) => {
+                if n >= self.dense.len() {
+                    self.dense.resize(n + 1, None);
+                }
+                self.dense[n].replace(id).is_none()
+            }
+            None => self.map.insert(name, id).is_none(),
+        }
+    }
+}
+
+/// Each block's label and instruction list, in creation order.
+type Blocks<'a> = Vec<(&'a str, Vec<InstId>)>;
+
+/// The tables of the function being parsed. A module parse reuses one
+/// parser for all its functions, so the tables' allocations are reused.
+#[derive(Default)]
+struct FnParser<'a> {
+    /// Block label → block.
+    blocks: HashMap<&'a str, BlockId>,
+    /// Value name → defining instruction.
+    names: Names<'a>,
+    /// Uses parsed before their definition: (user, operand slot, name, line).
+    forward: Vec<(InstId, usize, &'a str, usize)>,
+    /// Operand tokens of the instruction being parsed.
+    toks: Vec<&'a str>,
+}
+
+impl<'a> FnParser<'a> {
+    /// Parses one function from its significant lines: the header, then
+    /// the body. `}` lines are skipped wherever they appear.
+    fn function(&mut self, lines: &[Line<'a>]) -> Result<Function, ParseError> {
+        self.blocks.clear();
+        self.names.reset(lines.len());
+        self.forward.clear();
+        let (&(hline, header), body) = lines.split_first().ok_or_else(|| perr(0, "empty input"))?;
+        let (name, params, ret) = parse_header(header, hline)?;
+        let mut shared = Vec::new();
+        let mut blocks = self.declare(body, &mut shared)?;
+        if blocks.is_empty() {
+            blocks.push(("entry", Vec::new()));
+        }
+
+        let mut insts: Vec<InstData> = Vec::with_capacity(body.len());
+        let mut cur = None;
+        let mut labels_seen = 0;
+        for &(line, l) in body {
+            if l == "}" || l.starts_with("shared ") {
+                continue;
+            }
+            if l.ends_with(':') {
+                // `declare` created the blocks in this same label order.
+                cur = Some(BlockId::new(labels_seen));
+                labels_seen += 1;
+                continue;
+            }
+            let block = cur.ok_or_else(|| perr(line, "instruction before any block label"))?;
+            let (result, text) = split_result(l);
+            let id = InstId::new(insts.len());
+            let mut inst = self.inst(text, id, params.len(), shared.len(), line)?;
+            inst.block = block;
+            insts.push(inst);
+            blocks[block.index()].1.push(id);
+            if let Some(name) = result {
+                if !self.names.insert(name, id) {
+                    return Err(perr(line, format!("duplicate value `{name}`")));
+                }
+            }
+        }
+
+        for &(id, slot, name, line) in &self.forward {
+            let def = self
+                .names
+                .get(name)
+                .ok_or_else(|| perr(line, format!("undefined value `{name}`")))?;
+            insts[id.index()].operands[slot] = Value::Inst(def);
+        }
+        Ok(Function::from_parts(
+            name, params, ret, shared, blocks, insts,
+        ))
+    }
+
+    /// Declares the shared arrays and creates the blocks in label order,
+    /// each with its label and an instruction list sized for the lines up
+    /// to the next label.
+    fn declare(
+        &mut self,
+        body: &[Line<'a>],
+        shared: &mut Vec<SharedArray>,
+    ) -> Result<Blocks<'a>, ParseError> {
+        let mut blocks = Vec::new();
+        for &(line, l) in body {
+            if let Some(decl) = l.strip_prefix("shared ") {
+                shared.push(parse_shared(decl, line)?);
+            } else if let Some(label) = l.strip_suffix(':') {
+                let id = BlockId::new(blocks.len());
+                if self.blocks.insert(label, id).is_some() {
+                    return Err(perr(line, format!("duplicate block label `{label}`")));
+                }
+                blocks.push((label, 0));
+            } else if let Some((_, n)) = blocks.last_mut() {
+                *n += 1;
+            }
+        }
+        Ok(blocks
+            .into_iter()
+            .map(|(label, n)| (label, Vec::with_capacity(n)))
+            .collect())
+    }
+
+    fn block(&self, label: &str, line: usize) -> Result<BlockId, ParseError> {
+        self.blocks
+            .get(label)
+            .copied()
+            .ok_or_else(|| perr(line, format!("unknown block `{label}`")))
+    }
+
+    /// Parses the body (after any `%name =`) of instruction `id` into its
+    /// data, operands resolved, in a function of `params` parameters and
+    /// `shared` shared arrays.
+    fn inst(
+        &mut self,
+        text: &'a str,
+        id: InstId,
+        params: usize,
+        shared: usize,
+        line: usize,
+    ) -> Result<InstData, ParseError> {
+        let (mnemonic, rest) = split_at_byte(text, b' ').unwrap_or((text, ""));
+        let rest = trim(rest);
+        self.toks.clear();
+        let mut succs = Vec::new();
+        let mut phi_blocks = Vec::new();
+        // Most frequent mnemonics (in the paper's kernel suite) first: a
+        // `match` on strings tests its arms in order.
+        let (opcode, ty) = match mnemonic {
+            "jump" => {
+                succs = vec![self.block(rest, line)?];
+                (Opcode::Jump, Type::Void)
+            }
+            "add" => self.fixed(Opcode::Add, mnemonic, rest, line)?,
+            "icmp" => {
+                let (p, v) = split_at_byte(rest, b' ')
+                    .ok_or_else(|| perr(line, "icmp expects a predicate"))?;
+                let pred = parse_icmp_pred(p, line)?;
+                split_operands(v, &mut self.toks);
+                (Opcode::Icmp(pred), Type::I1)
+            }
+            "br" => {
+                split_operands(rest, &mut self.toks);
+                if self.toks.len() != 3 {
+                    return Err(perr(line, "br expects `cond, then, else`"));
+                }
+                succs.reserve_exact(2);
+                succs.push(self.block(self.toks[1], line)?);
+                succs.push(self.block(self.toks[2], line)?);
+                self.toks.truncate(1);
+                (Opcode::Br, Type::Void)
+            }
+            "load" => self.typed(Opcode::Load, rest, line)?,
+            "store" => self.fixed(Opcode::Store, mnemonic, rest, line)?,
+            "gep" => {
+                let (ty_src, v) = split_at_byte(rest, b' ')
+                    .ok_or_else(|| perr(line, "gep expects an element type"))?;
+                let elem = parse_type(ty_src, line)?;
+                split_operands(v, &mut self.toks);
+                // The result type is the pointer operand's; `fixup_types`
+                // sets it.
+                (Opcode::Gep { elem }, Type::Ptr(AddrSpace::Global))
+            }
+            "mul" => self.fixed(Opcode::Mul, mnemonic, rest, line)?,
+            // `phi TYPE [v, blk], [v, blk], ...`
+            "phi" => {
+                let (ty_src, list) =
+                    split_at_byte(rest, b' ').ok_or_else(|| perr(line, "phi expects a type"))?;
+                let ty = parse_type(ty_src, line)?;
+                split_operands(list, &mut self.toks);
+                phi_blocks.reserve_exact(self.toks.len());
+                for k in 0..self.toks.len() {
+                    let ent = self.toks[k];
+                    let (v, blk) = ent
+                        .strip_prefix('[')
+                        .and_then(|e| e.strip_suffix(']'))
+                        .and_then(|e| split_at_byte(e, b','))
+                        .ok_or_else(|| perr(line, format!("bad phi entry `{ent}`")))?;
+                    phi_blocks.push(self.block(trim(blk), line)?);
+                    self.toks[k] = trim(v);
+                }
+                (Opcode::Phi, ty)
+            }
+            "ret" => {
+                if !rest.is_empty() {
+                    self.toks.push(rest);
+                }
+                (Opcode::Ret, Type::Void)
+            }
+            "shared.base" => {
+                let idx: u32 = rest
+                    .parse()
+                    .map_err(|_| perr(line, "bad shared.base index"))?;
+                if idx as usize >= shared {
+                    return Err(perr(line, format!("shared array {idx} not declared")));
+                }
+                (Opcode::SharedBase(idx), Type::Ptr(AddrSpace::Shared))
+            }
+            "zext" => self.typed(Opcode::Zext, rest, line)?,
+            "sext" => self.typed(Opcode::Sext, rest, line)?,
+            "trunc" => self.typed(Opcode::Trunc, rest, line)?,
+            "fptosi" => self.typed(Opcode::FpToSi, rest, line)?,
+            "fcmp" => {
+                let (p, v) = split_at_byte(rest, b' ')
+                    .ok_or_else(|| perr(line, "fcmp expects a predicate"))?;
+                let pred = parse_fcmp_pred(p, line)?;
+                split_operands(v, &mut self.toks);
+                (Opcode::Fcmp(pred), Type::I1)
+            }
+            "bar.sync" => self.fixed(Opcode::Syncthreads, mnemonic, rest, line)?,
+            "and" => self.fixed(Opcode::And, mnemonic, rest, line)?,
+            "sub" => self.fixed(Opcode::Sub, mnemonic, rest, line)?,
+            "xor" => self.fixed(Opcode::Xor, mnemonic, rest, line)?,
+            "shl" => self.fixed(Opcode::Shl, mnemonic, rest, line)?,
+            "srem" => self.fixed(Opcode::SRem, mnemonic, rest, line)?,
+            "ashr" => self.fixed(Opcode::AShr, mnemonic, rest, line)?,
+            "or" => self.fixed(Opcode::Or, mnemonic, rest, line)?,
+            "sdiv" => self.fixed(Opcode::SDiv, mnemonic, rest, line)?,
+            "udiv" => self.fixed(Opcode::UDiv, mnemonic, rest, line)?,
+            "urem" => self.fixed(Opcode::URem, mnemonic, rest, line)?,
+            "lshr" => self.fixed(Opcode::LShr, mnemonic, rest, line)?,
+            "fadd" => self.fixed(Opcode::FAdd, mnemonic, rest, line)?,
+            "fsub" => self.fixed(Opcode::FSub, mnemonic, rest, line)?,
+            "fmul" => self.fixed(Opcode::FMul, mnemonic, rest, line)?,
+            "fdiv" => self.fixed(Opcode::FDiv, mnemonic, rest, line)?,
+            "fsqrt" => self.fixed(Opcode::FSqrt, mnemonic, rest, line)?,
+            "fabs" => self.fixed(Opcode::FAbs, mnemonic, rest, line)?,
+            "fneg" => self.fixed(Opcode::FNeg, mnemonic, rest, line)?,
+            "fexp" => self.fixed(Opcode::FExp, mnemonic, rest, line)?,
+            "sitofp" => self.fixed(Opcode::SiToFp, mnemonic, rest, line)?,
+            "select" => self.fixed(Opcode::Select, mnemonic, rest, line)?,
+            "ballot" => self.fixed(Opcode::Ballot, mnemonic, rest, line)?,
+            m => {
+                let (op, dim): (fn(Dim) -> Opcode, _) = if let Some(d) = m.strip_prefix("tid.") {
+                    (Opcode::ThreadIdx, d)
+                } else if let Some(d) = m.strip_prefix("ctaid.") {
+                    (Opcode::BlockIdx, d)
+                } else if let Some(d) = m.strip_prefix("ntid.") {
+                    (Opcode::BlockDim, d)
+                } else if let Some(d) = m.strip_prefix("nctaid.") {
+                    (Opcode::GridDim, d)
+                } else {
+                    return Err(perr(line, format!("unknown instruction `{m}`")));
+                };
+                (op(parse_dim(dim, line)?), Type::I32)
+            }
+        };
+        Ok(InstData {
+            operands: self.operands(id, params, line)?,
+            phi_blocks,
+            succs,
+            ..InstData::new(opcode, ty, Vec::new())
+        })
+    }
+
+    /// `OP TYPE operands`: the typed unary and memory forms.
+    fn typed(
+        &mut self,
+        op: Opcode,
+        rest: &'a str,
+        line: usize,
+    ) -> Result<(Opcode, Type), ParseError> {
+        let (ty_src, v) =
+            split_at_byte(rest, b' ').ok_or_else(|| perr(line, format!("{op} expects a type")))?;
+        split_operands(v, &mut self.toks);
+        Ok((op, parse_type(ty_src, line)?))
+    }
+
+    /// An opcode with a fixed operand count. Binary ops and `select` get a
+    /// placeholder result type, which `fixup_types` sets.
+    fn fixed(
+        &mut self,
+        op: Opcode,
+        mnemonic: &str,
+        rest: &'a str,
+        line: usize,
+    ) -> Result<(Opcode, Type), ParseError> {
+        let (ty, nops) = match op {
+            Opcode::FAdd | Opcode::FSub | Opcode::FMul | Opcode::FDiv => (Type::F32, 2),
+            Opcode::FSqrt | Opcode::FAbs | Opcode::FNeg | Opcode::FExp | Opcode::SiToFp => {
+                (Type::F32, 1)
+            }
+            Opcode::Select => (Type::I32, 3),
+            Opcode::Store => (Type::Void, 2),
+            Opcode::Ballot => (Type::I64, 1),
+            Opcode::Syncthreads => (Type::Void, 0),
+            _ => (Type::I32, 2),
+        };
+        if !rest.is_empty() {
+            split_operands(rest, &mut self.toks);
+        }
+        if self.toks.len() != nops {
+            return Err(perr(
+                line,
+                format!(
+                    "{mnemonic} expects {nops} operands, got {}",
+                    self.toks.len()
+                ),
+            ));
+        }
+        Ok((op, ty))
+    }
+
+    /// Resolves the operand tokens of instruction `id`, recording forward
+    /// references.
+    fn operands(
+        &mut self,
+        id: InstId,
+        params: usize,
+        line: usize,
+    ) -> Result<Vec<Value>, ParseError> {
+        let mut ops = Vec::with_capacity(self.toks.len());
+        for (slot, &tok) in self.toks.iter().enumerate() {
+            ops.push(match parse_value(tok, &self.names, params, line)? {
+                Some(v) => v,
+                None => {
+                    self.forward.push((id, slot, tok, line));
+                    Value::Undef(Type::Void)
+                }
+            });
+        }
+        Ok(ops)
+    }
 }
 
 /// Parses the textual form of a single function.
@@ -187,395 +690,8 @@ fn split_operands(s: &str) -> Vec<String> {
 ///
 /// Returns a [`ParseError`] with a line number on malformed input.
 pub fn parse_function(text: &str) -> Result<Function, ParseError> {
-    let lines: Vec<(usize, &str)> = text
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with("//"))
-        .collect();
-    let mut it = lines.iter().peekable();
-
-    // Header: fn @name(params) -> ret {
-    let &(hline, header) = it.next().ok_or(ParseError {
-        line: 0,
-        message: "empty input".into(),
-    })?;
-    let header = header.strip_prefix("fn @").ok_or_else(|| ParseError {
-        line: hline,
-        message: "expected `fn @name(...)`".into(),
-    })?;
-    let open = header.find('(').ok_or(ParseError {
-        line: hline,
-        message: "expected `(`".into(),
-    })?;
-    let close = header.rfind(')').ok_or(ParseError {
-        line: hline,
-        message: "expected `)`".into(),
-    })?;
-    let name = &header[..open];
-    let params_src = &header[open + 1..close];
-    let rest = header[close + 1..].trim();
-    let ret_src = rest
-        .strip_prefix("->")
-        .and_then(|r| r.trim().strip_suffix('{'))
-        .ok_or(ParseError {
-            line: hline,
-            message: "expected `-> TYPE {`".into(),
-        })?;
-    let ret = parse_type(ret_src.trim(), hline)?;
-    let mut params = Vec::new();
-    for (k, p) in params_src
-        .split(',')
-        .filter(|p| !p.trim().is_empty())
-        .enumerate()
-    {
-        let ty_src = p
-            .trim()
-            .rsplit_once(' ')
-            .map(|(t, _)| t)
-            .ok_or_else(|| ParseError {
-                line: hline,
-                message: format!("bad parameter {k}"),
-            })?;
-        params.push(parse_type(ty_src.trim(), hline)?);
-    }
-    let mut func = Function::new(name, params, ret);
-
-    // First pass: shared decls and block labels (blocks must exist before
-    // branches reference them). The auto-created entry block is renamed to
-    // the first label.
-    let mut blocks: HashMap<String, BlockId> = HashMap::new();
-    let mut first_label = true;
-    for &(line, l) in it.clone() {
-        if l == "}" {
-            continue;
-        }
-        if let Some(decl) = l.strip_prefix("shared ") {
-            // shared NAME : [LEN x TYPE]
-            let (name, rest) = decl.split_once(':').ok_or(ParseError {
-                line,
-                message: "bad shared declaration".into(),
-            })?;
-            let inner = rest
-                .trim()
-                .strip_prefix('[')
-                .and_then(|r| r.strip_suffix(']'))
-                .ok_or(ParseError {
-                    line,
-                    message: "bad shared declaration".into(),
-                })?;
-            let (len_src, ty_src) = inner.split_once(" x ").ok_or(ParseError {
-                line,
-                message: "bad shared declaration".into(),
-            })?;
-            let len: u64 = len_src.trim().parse().map_err(|_| ParseError {
-                line,
-                message: "bad shared length".into(),
-            })?;
-            func.add_shared_array(name.trim(), parse_type(ty_src.trim(), line)?, len);
-        } else if let Some(label) = l.strip_suffix(':') {
-            let id = if first_label {
-                first_label = false;
-                func.set_block_name(func.entry(), label);
-                func.entry()
-            } else {
-                func.add_block(label)
-            };
-            if blocks.insert(label.to_string(), id).is_some() {
-                return err(line, format!("duplicate block label `{label}`"));
-            }
-        }
-    }
-
-    // Second pass: instructions. Operands may forward-reference values, so
-    // instructions are created with placeholder operands first and patched
-    // at the end.
-    let mut names: HashMap<String, InstId> = HashMap::new();
-    #[allow(clippy::type_complexity)]
-    let mut pending: Vec<(InstId, usize, Vec<String>, Vec<String>)> = Vec::new(); // (inst, line, operand tokens, phi block labels)
-    let mut cur_block: Option<BlockId> = None;
-    for &(line, l) in it {
-        if l == "}" || l.starts_with("shared ") {
-            continue;
-        }
-        if let Some(label) = l.strip_suffix(':') {
-            cur_block = Some(blocks[label]);
-            continue;
-        }
-        let block = match cur_block {
-            Some(b) => b,
-            None => return err(line, "instruction before any block label"),
-        };
-        // `%N = OP ...` or `OP ...`
-        let (result, body) = match l.split_once('=') {
-            Some((lhs, rhs)) if lhs.trim().starts_with('%') && !lhs.trim().contains(' ') => {
-                (Some(lhs.trim().to_string()), rhs.trim())
-            }
-            _ => (None, l),
-        };
-        let (inst, op_tokens, phi_blocks) = parse_inst(&mut func, body, &blocks, line)?;
-        let id = func.add_inst(block, inst);
-        if let Some(r) = result {
-            names.insert(r, id);
-        }
-        pending.push((id, line, op_tokens, phi_blocks));
-    }
-
-    // Patch operands.
-    for (id, line, tokens, phi_labels) in pending {
-        let mut ops = Vec::with_capacity(tokens.len());
-        for t in &tokens {
-            ops.push(parse_value(t, &names, line)?);
-        }
-        let inst = func.inst_mut(id);
-        inst.operands = ops;
-        if !phi_labels.is_empty() {
-            inst.phi_blocks = phi_labels.iter().map(|l| blocks[l]).collect();
-        }
-    }
-    Ok(func)
-}
-
-/// Parses one instruction body into an [`InstData`] skeleton plus the raw
-/// operand tokens (patched later) and φ incoming block labels.
-fn parse_inst(
-    func: &mut Function,
-    body: &str,
-    blocks: &HashMap<String, BlockId>,
-    line: usize,
-) -> Result<(InstData, Vec<String>, Vec<String>), ParseError> {
-    let (mnemonic, rest) = body.split_once(' ').unwrap_or((body, ""));
-    let rest = rest.trim();
-    let block_of = |label: &str| -> Result<BlockId, ParseError> {
-        blocks.get(label.trim()).copied().ok_or_else(|| ParseError {
-            line,
-            message: format!("unknown block `{label}`"),
-        })
-    };
-
-    // Terminators.
-    match mnemonic {
-        "jump" => {
-            return Ok((
-                InstData::terminator(Opcode::Jump, vec![], vec![block_of(rest)?]),
-                vec![],
-                vec![],
-            ));
-        }
-        "br" => {
-            let parts = split_operands(rest);
-            if parts.len() != 3 {
-                return err(line, "br expects `cond, then, else`");
-            }
-            return Ok((
-                InstData::terminator(
-                    Opcode::Br,
-                    vec![],
-                    vec![block_of(&parts[1])?, block_of(&parts[2])?],
-                ),
-                vec![parts[0].clone()],
-                vec![],
-            ));
-        }
-        "ret" => {
-            let ops = if rest.is_empty() {
-                vec![]
-            } else {
-                vec![rest.to_string()]
-            };
-            return Ok((
-                InstData::terminator(Opcode::Ret, vec![], vec![]),
-                ops,
-                vec![],
-            ));
-        }
-        _ => {}
-    }
-
-    // φ-nodes: `phi TYPE [v, blk], [v, blk], ...`
-    if mnemonic == "phi" {
-        let (ty_src, list) = rest.split_once(' ').ok_or(ParseError {
-            line,
-            message: "phi expects a type".into(),
-        })?;
-        let ty = parse_type(ty_src, line)?;
-        let mut ops = Vec::new();
-        let mut labels = Vec::new();
-        for ent in split_operands(list) {
-            let inner = ent
-                .strip_prefix('[')
-                .and_then(|e| e.strip_suffix(']'))
-                .ok_or_else(|| ParseError {
-                    line,
-                    message: format!("bad phi entry `{ent}`"),
-                })?;
-            let (v, blk) = inner.split_once(',').ok_or_else(|| ParseError {
-                line,
-                message: format!("bad phi entry `{ent}`"),
-            })?;
-            ops.push(v.trim().to_string());
-            labels.push(blk.trim().to_string());
-        }
-        let mut data = InstData::new(Opcode::Phi, ty, vec![]);
-        data.phi_blocks = vec![]; // patched later
-        return Ok((data, ops, labels));
-    }
-
-    // Typed unary/memory forms: `load TYPE ptr`, `zext TYPE v`, ...
-    let typed =
-        |op: Opcode, rest: &str| -> Result<(InstData, Vec<String>, Vec<String>), ParseError> {
-            let (ty_src, v) = rest.split_once(' ').ok_or(ParseError {
-                line,
-                message: format!("{} expects a type", op.mnemonic()),
-            })?;
-            let ty = parse_type(ty_src, line)?;
-            Ok((InstData::new(op, ty, vec![]), split_operands(v), vec![]))
-        };
-    match mnemonic {
-        "load" => return typed(Opcode::Load, rest),
-        "zext" => return typed(Opcode::Zext, rest),
-        "sext" => return typed(Opcode::Sext, rest),
-        "trunc" => return typed(Opcode::Trunc, rest),
-        "fptosi" => return typed(Opcode::FpToSi, rest),
-        "gep" => {
-            let (ty_src, v) = rest.split_once(' ').ok_or(ParseError {
-                line,
-                message: "gep expects an element type".into(),
-            })?;
-            let elem = parse_type(ty_src, line)?;
-            // result type = pointer operand type; patched after operand
-            // resolution is not possible here, so default to global and fix
-            // in a post-pass below via `fixup_gep_types`.
-            return Ok((
-                InstData::new(Opcode::Gep { elem }, Type::Ptr(AddrSpace::Global), vec![]),
-                split_operands(v),
-                vec![],
-            ));
-        }
-        _ => {}
-    }
-
-    // Fixed-type opcodes and operand-typed binary ops.
-    let (opcode, ty, nops): (Opcode, Option<Type>, usize) = match mnemonic {
-        "add" => (Opcode::Add, None, 2),
-        "sub" => (Opcode::Sub, None, 2),
-        "mul" => (Opcode::Mul, None, 2),
-        "sdiv" => (Opcode::SDiv, None, 2),
-        "srem" => (Opcode::SRem, None, 2),
-        "udiv" => (Opcode::UDiv, None, 2),
-        "urem" => (Opcode::URem, None, 2),
-        "and" => (Opcode::And, None, 2),
-        "or" => (Opcode::Or, None, 2),
-        "xor" => (Opcode::Xor, None, 2),
-        "shl" => (Opcode::Shl, None, 2),
-        "lshr" => (Opcode::LShr, None, 2),
-        "ashr" => (Opcode::AShr, None, 2),
-        "fadd" => (Opcode::FAdd, Some(Type::F32), 2),
-        "fsub" => (Opcode::FSub, Some(Type::F32), 2),
-        "fmul" => (Opcode::FMul, Some(Type::F32), 2),
-        "fdiv" => (Opcode::FDiv, Some(Type::F32), 2),
-        "fsqrt" => (Opcode::FSqrt, Some(Type::F32), 1),
-        "fabs" => (Opcode::FAbs, Some(Type::F32), 1),
-        "fneg" => (Opcode::FNeg, Some(Type::F32), 1),
-        "fexp" => (Opcode::FExp, Some(Type::F32), 1),
-        "sitofp" => (Opcode::SiToFp, Some(Type::F32), 1),
-        "select" => (Opcode::Select, None, 3),
-        "store" => (Opcode::Store, Some(Type::Void), 2),
-        "icmp" => {
-            let (p, v) = rest.split_once(' ').ok_or(ParseError {
-                line,
-                message: "icmp expects a predicate".into(),
-            })?;
-            let pred = parse_icmp_pred(p, line)?;
-            return Ok((
-                InstData::new(Opcode::Icmp(pred), Type::I1, vec![]),
-                split_operands(v),
-                vec![],
-            ));
-        }
-        "fcmp" => {
-            let (p, v) = rest.split_once(' ').ok_or(ParseError {
-                line,
-                message: "fcmp expects a predicate".into(),
-            })?;
-            let pred = parse_fcmp_pred(p, line)?;
-            return Ok((
-                InstData::new(Opcode::Fcmp(pred), Type::I1, vec![]),
-                split_operands(v),
-                vec![],
-            ));
-        }
-        "ballot" => (Opcode::Ballot, Some(Type::I64), 1),
-        "bar.sync" => (Opcode::Syncthreads, Some(Type::Void), 0),
-        m if m.starts_with("tid.") => {
-            let d = parse_dim(&m[4..], line)?;
-            return Ok((
-                InstData::new(Opcode::ThreadIdx(d), Type::I32, vec![]),
-                vec![],
-                vec![],
-            ));
-        }
-        m if m.starts_with("ctaid.") => {
-            let d = parse_dim(&m[6..], line)?;
-            return Ok((
-                InstData::new(Opcode::BlockIdx(d), Type::I32, vec![]),
-                vec![],
-                vec![],
-            ));
-        }
-        m if m.starts_with("ntid.") => {
-            let d = parse_dim(&m[5..], line)?;
-            return Ok((
-                InstData::new(Opcode::BlockDim(d), Type::I32, vec![]),
-                vec![],
-                vec![],
-            ));
-        }
-        m if m.starts_with("nctaid.") => {
-            let d = parse_dim(&m[7..], line)?;
-            return Ok((
-                InstData::new(Opcode::GridDim(d), Type::I32, vec![]),
-                vec![],
-                vec![],
-            ));
-        }
-        "shared.base" => {
-            let idx: u32 = rest.parse().map_err(|_| ParseError {
-                line,
-                message: "bad shared.base index".into(),
-            })?;
-            if idx as usize >= func.shared_arrays().len() {
-                return err(line, format!("shared array {idx} not declared"));
-            }
-            return Ok((
-                InstData::new(
-                    Opcode::SharedBase(idx),
-                    Type::Ptr(AddrSpace::Shared),
-                    vec![],
-                ),
-                vec![],
-                vec![],
-            ));
-        }
-        other => return err(line, format!("unknown instruction `{other}`")),
-    };
-    let tokens = if rest.is_empty() {
-        vec![]
-    } else {
-        split_operands(rest)
-    };
-    if tokens.len() != nops {
-        return err(
-            line,
-            format!("{mnemonic} expects {nops} operands, got {}", tokens.len()),
-        );
-    }
-    // Operand-typed ops get a placeholder; fixed later by `fixup_types`.
-    Ok((
-        InstData::new(opcode, ty.unwrap_or(Type::I32), vec![]),
-        tokens,
-        vec![],
-    ))
+    let lines: Vec<Line<'_>> = significant_lines(text).collect();
+    FnParser::default().function(&lines)
 }
 
 /// Parses the textual form of a module: one or more `fn @name(...)` bodies
@@ -587,47 +703,32 @@ fn parse_inst(
 /// Returns a [`ParseError`] on malformed input, input containing no
 /// function, or duplicate function names.
 pub fn parse_module(text: &str) -> Result<Module, ParseError> {
-    // Chunk the input at `fn @` headers; each function body ends at the
-    // first bare `}` line. Blank/comment lines between functions are
-    // ignored, anything else outside a function is an error.
+    // Each function runs from a `fn @` header to the first bare `}` line.
+    // Blank/comment lines between functions are ignored, anything else
+    // outside a function is an error.
     let mut module = Module::new("module");
-    let mut chunk: Option<(usize, Vec<&str>)> = None; // (0-based start line, lines)
-    for (i, raw) in text.lines().enumerate() {
-        let l = raw.trim();
-        match &mut chunk {
-            None => {
-                if l.is_empty() || l.starts_with("//") {
-                    continue;
-                }
-                if !l.starts_with("fn @") {
-                    return err(i + 1, format!("expected `fn @name(...)`, found `{l}`"));
-                }
-                chunk = Some((i, vec![raw]));
-            }
-            Some((start, body)) => {
-                body.push(raw);
-                if l != "}" {
-                    continue;
-                }
-                let (start, body) = (*start, body.join("\n"));
-                chunk = None;
-                let func = parse_function(&body).map_err(|mut e| {
-                    e.line += start;
-                    e
-                })?;
-                let fname = func.name().to_string();
-                module.add_function(func).map_err(|_| ParseError {
-                    line: start + 1,
-                    message: format!("duplicate function `@{fname}`"),
-                })?;
-            }
+    let mut parser = FnParser::default();
+    let mut lines: Vec<Line<'_>> = Vec::new();
+    for (line, l) in significant_lines(text) {
+        if lines.is_empty() && !l.starts_with("fn @") {
+            return Err(perr(line, format!("expected `fn @name(...)`, found `{l}`")));
         }
+        lines.push((line, l));
+        if l != "}" {
+            continue;
+        }
+        let func = parser.function(&lines)?;
+        let start = lines[0].0;
+        lines.clear();
+        module
+            .add_function(func)
+            .map_err(|dup| perr(start, format!("duplicate function `@{}`", dup.0)))?;
     }
-    if let Some((start, _)) = chunk {
-        return err(start + 1, "unterminated function (missing `}`)");
+    if let Some(&(start, _)) = lines.first() {
+        return Err(perr(start, "unterminated function (missing `}`)"));
     }
     if module.is_empty() {
-        return err(0, "empty input");
+        return Err(perr(0, "empty input"));
     }
     Ok(module)
 }
@@ -644,10 +745,8 @@ pub fn parse_and_verify_module(text: &str) -> Result<Module, ParseError> {
     let mut module = parse_module(text)?;
     for func in module.functions_mut() {
         fixup_types(func);
-        func.verify_structure().map_err(|e| ParseError {
-            line: 0,
-            message: format!("@{}: verification failed: {e}", func.name()),
-        })?;
+        func.verify_structure()
+            .map_err(|e| perr(0, format!("@{}: verification failed: {e}", func.name())))?;
     }
     Ok(module)
 }
@@ -662,10 +761,8 @@ pub fn parse_and_verify_module(text: &str) -> Result<Module, ParseError> {
 pub fn parse_and_verify(text: &str) -> Result<Function, ParseError> {
     let mut func = parse_function(text)?;
     fixup_types(&mut func);
-    func.verify_structure().map_err(|e| ParseError {
-        line: 0,
-        message: format!("verification failed: {e}"),
-    })?;
+    func.verify_structure()
+        .map_err(|e| perr(0, format!("verification failed: {e}")))?;
     Ok(func)
 }
 
@@ -675,9 +772,10 @@ pub fn fixup_types(func: &mut Function) {
     loop {
         let mut changed = false;
         for b in func.block_ids() {
-            for id in func.insts_of(b).to_vec() {
+            for k in 0..func.insts_of(b).len() {
+                let id = func.insts_of(b)[k];
                 let inst = func.inst(id);
-                let new_ty = match inst.opcode {
+                let from = match inst.opcode {
                     Opcode::Add
                     | Opcode::Sub
                     | Opcode::Mul
@@ -690,16 +788,15 @@ pub fn fixup_types(func: &mut Function) {
                     | Opcode::Xor
                     | Opcode::Shl
                     | Opcode::LShr
-                    | Opcode::AShr => Some(func.value_ty(inst.operands[0])),
-                    Opcode::Select => Some(func.value_ty(inst.operands[1])),
-                    Opcode::Gep { .. } => Some(func.value_ty(inst.operands[0])),
-                    _ => None,
+                    | Opcode::AShr
+                    | Opcode::Gep { .. } => inst.operands[0],
+                    Opcode::Select => inst.operands[1],
+                    _ => continue,
                 };
-                if let Some(ty) = new_ty {
-                    if func.inst(id).ty != ty {
-                        func.inst_mut(id).ty = ty;
-                        changed = true;
-                    }
+                let ty = func.value_ty(from);
+                if inst.ty != ty {
+                    func.inst_mut(id).ty = ty;
+                    changed = true;
                 }
             }
         }
@@ -843,6 +940,72 @@ entry:
     fn unknown_block_is_an_error() {
         let e = parse_function("fn @x() -> void {\nentry:\n  jump nowhere\n}").unwrap_err();
         assert!(e.message.contains("unknown block"));
+    }
+
+    #[test]
+    fn malformed_inputs_are_typed_errors() {
+        // Malformed input must end in a typed error, never a panic here or
+        // in `fixup_types`.
+        let cases = [
+            (
+                "fn @x() -> void {\nentry:\n  %0 = phi i32 [0, nowhere]\n  ret\n}",
+                3,
+                "unknown block `nowhere`",
+            ),
+            (
+                "fn @)x( -> void {\nentry:\n  ret\n}",
+                1,
+                "expected `)` after `(`",
+            ),
+            (
+                "fn @x() -> void {\nentry:\n  %0 = add %arg9, 1\n  ret\n}",
+                3,
+                "bad parameter `%arg9`",
+            ),
+            (
+                "fn @x(i32 %arg0) -> void {\nentry:\n  %0 = gep i32 %arg1, 1\n  ret\n}",
+                3,
+                "bad parameter `%arg1`",
+            ),
+        ];
+        for (text, line, message) in cases {
+            let e = parse_and_verify(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}: {e}");
+            assert!(e.message.contains(message), "{text:?}: {e}");
+            let e = parse_module(text).unwrap_err();
+            assert_eq!(e.line, line, "{text:?}: {e}");
+        }
+    }
+
+    #[test]
+    fn forward_references_resolve_and_redefinitions_are_errors() {
+        // `%5` is used in `t`, printed before its defining block `d`, and
+        // the loop φ takes `%3` over the back edge.
+        let f = parse_and_verify(
+            "fn @f(i32 %arg0) -> i32 {\n\
+             entry:\n  %5 = add %arg0, 1\n  jump h\n\
+             h:\n  %1 = phi i32 [0, entry], [%3, t]\n  %2 = icmp slt %1, %5\n  br %2, t, x\n\
+             t:\n  %3 = add %1, %5\n  jump h\n\
+             x:\n  ret %1\n}",
+        )
+        .unwrap();
+        assert_eq!(f.block_ids().len(), 4);
+        let e =
+            parse_function("fn @f() -> void {\nentry:\n  %0 = add 1, 2\n  %0 = add 3, 4\n  ret\n}")
+                .unwrap_err();
+        assert_eq!(e.line, 4);
+        assert!(e.message.contains("duplicate value `%0`"), "{e}");
+        // A name that is a huge number is just a name.
+        let e = parse_function("fn @f() -> void {\nentry:\n  store %4000000000, %7\n  ret\n}")
+            .unwrap_err();
+        assert!(e.message.contains("undefined value `%4000000000`"), "{e}");
+    }
+
+    #[test]
+    fn unicode_whitespace_is_trimmed() {
+        // The ASCII fast path of `trim` must agree with `str::trim`.
+        let f = parse_function("fn @f() -> void {\n\u{a0}entry:\n\x0b  ret\u{3000}\n}").unwrap();
+        assert_eq!(f.to_string(), "fn @f() -> void {\nentry:\n  ret\n}\n");
     }
 
     const TWO_FUNCS: &str = r#"

@@ -1,32 +1,83 @@
 //! LLVM-like textual rendering of functions, for debugging and golden tests.
+//!
+//! Printing allocates nothing: literal pieces go out with `write_str`, and
+//! value numbers (`%N`, `%argN`, non-negative `i32` constants) through a
+//! small stack buffer. Besides `to_string`, the printer feeds
+//! [`Function::content_hash`], which streams it into a hasher.
 
-use crate::function::Function;
+use crate::function::{BlockId, Function};
 use crate::opcode::Opcode;
 use crate::types::Type;
+use crate::value::Value;
 use std::fmt;
+
+/// Writes `n` in decimal without going through the formatting machinery.
+fn write_index(f: &mut fmt::Formatter<'_>, n: usize) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut n = n;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    // Only ASCII digits were written.
+    f.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+}
+
+/// Writes an operand: instruction results, parameters and non-negative
+/// `i32` constants through [`write_index`], anything else through its
+/// `Display`.
+fn write_value(f: &mut fmt::Formatter<'_>, v: Value) -> fmt::Result {
+    match v {
+        Value::Inst(id) => {
+            f.write_str("%")?;
+            write_index(f, id.index())
+        }
+        Value::Param(i) => {
+            f.write_str("%arg")?;
+            write_index(f, i as usize)
+        }
+        Value::I32(x) if x >= 0 => write_index(f, x as usize),
+        _ => write!(f, "{v}"),
+    }
+}
 
 impl fmt::Display for Function {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "fn @{}(", self.name())?;
+        f.write_str("fn @")?;
+        f.write_str(self.name())?;
+        f.write_str("(")?;
         for (i, ty) in self.params().iter().enumerate() {
             if i > 0 {
-                write!(f, ", ")?;
+                f.write_str(", ")?;
             }
-            write!(f, "{ty} %arg{i}")?;
+            write!(f, "{ty} %arg")?;
+            write_index(f, i)?;
         }
         writeln!(f, ") -> {} {{", self.ret_ty())?;
         for arr in self.shared_arrays() {
             writeln!(f, "  shared {} : [{} x {}]", arr.name, arr.len, arr.elem)?;
         }
-        for b in self.block_ids() {
-            writeln!(f, "{}:", self.block_name(b))?;
+        let live_blocks = (0..self.block_capacity())
+            .map(BlockId::new)
+            .filter(|&b| self.is_block_alive(b));
+        for b in live_blocks {
+            f.write_str(self.block_name(b))?;
+            f.write_str(":\n")?;
             for &id in self.insts_of(b) {
                 let inst = self.inst(id);
-                write!(f, "  ")?;
-                if inst.ty != Type::Void {
-                    write!(f, "%{} = ", id.index())?;
+                if inst.ty == Type::Void {
+                    f.write_str("  ")?;
+                } else {
+                    f.write_str("  %")?;
+                    write_index(f, id.index())?;
+                    f.write_str(" = ")?;
                 }
-                write!(f, "{}", inst.opcode.mnemonic())?;
+                fmt::Display::fmt(&inst.opcode, f)?;
                 // Opcodes whose result type is not derivable from operands
                 // carry an explicit type annotation (keeps text parseable).
                 if matches!(
@@ -38,17 +89,21 @@ impl fmt::Display for Function {
                         | Opcode::FpToSi
                         | Opcode::Phi
                 ) {
-                    write!(f, " {}", inst.ty)?;
+                    f.write_str(" ")?;
+                    fmt::Display::fmt(&inst.ty, f)?;
                 }
                 if inst.opcode == Opcode::Phi {
                     for (k, (blk, val)) in inst.phi_incoming().enumerate() {
-                        let sep = if k == 0 { " " } else { ", " };
-                        write!(f, "{sep}[{val}, {}]", self.block_name(blk))?;
+                        f.write_str(if k == 0 { " [" } else { ", [" })?;
+                        write_value(f, val)?;
+                        f.write_str(", ")?;
+                        f.write_str(self.block_name(blk))?;
+                        f.write_str("]")?;
                     }
                 } else {
-                    for (k, op) in inst.operands.iter().enumerate() {
-                        let sep = if k == 0 { " " } else { ", " };
-                        write!(f, "{sep}{op}")?;
+                    for (k, &op) in inst.operands.iter().enumerate() {
+                        f.write_str(if k == 0 { " " } else { ", " })?;
+                        write_value(f, op)?;
                     }
                     for (k, s) in inst.succs.iter().enumerate() {
                         let sep = if k == 0 && inst.operands.is_empty() {
@@ -56,13 +111,14 @@ impl fmt::Display for Function {
                         } else {
                             ", "
                         };
-                        write!(f, "{sep}{}", self.block_name(*s))?;
+                        f.write_str(sep)?;
+                        f.write_str(self.block_name(*s))?;
                     }
                 }
-                writeln!(f)?;
+                f.write_str("\n")?;
             }
         }
-        writeln!(f, "}}")
+        f.write_str("}\n")
     }
 }
 

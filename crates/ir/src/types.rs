@@ -18,10 +18,10 @@ pub enum AddrSpace {
 
 impl fmt::Display for AddrSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AddrSpace::Global => write!(f, "global"),
-            AddrSpace::Shared => write!(f, "shared"),
-        }
+        f.write_str(match self {
+            AddrSpace::Global => "global",
+            AddrSpace::Shared => "shared",
+        })
     }
 }
 
@@ -78,14 +78,15 @@ impl Type {
 
 impl fmt::Display for Type {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Type::Void => write!(f, "void"),
-            Type::I1 => write!(f, "i1"),
-            Type::I32 => write!(f, "i32"),
-            Type::I64 => write!(f, "i64"),
-            Type::F32 => write!(f, "f32"),
-            Type::Ptr(space) => write!(f, "ptr({space})"),
-        }
+        f.write_str(match self {
+            Type::Void => "void",
+            Type::I1 => "i1",
+            Type::I32 => "i32",
+            Type::I64 => "i64",
+            Type::F32 => "f32",
+            Type::Ptr(AddrSpace::Global) => "ptr(global)",
+            Type::Ptr(AddrSpace::Shared) => "ptr(shared)",
+        })
     }
 }
 

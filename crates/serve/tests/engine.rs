@@ -170,6 +170,24 @@ fn bad_input_and_bad_spec_yield_typed_errors_and_service_survives() {
 }
 
 #[test]
+fn out_of_range_parameter_is_a_parse_error() {
+    // `%arg9` in a function without parameters is the client's error
+    // (`parse`), not a contained panic (`internal`).
+    let engine = Engine::new(ServeConfig::default());
+    let bad = "fn @f() -> void {\nentry:\n  %0 = add %arg9, 1\n  ret\n}\n";
+    let resp = compile(&engine, request(1, bad));
+    assert!(
+        matches!(&resp, Response::Error { kind, message, .. }
+            if kind.as_str() == "parse" && message.contains("bad parameter `%arg9`")),
+        "{resp:?}"
+    );
+    assert!(matches!(
+        compile(&engine, request(2, KERNEL)),
+        Response::Ok { .. }
+    ));
+}
+
+#[test]
 fn equivalent_spec_spellings_share_cache_entries() {
     let engine = Engine::new(ServeConfig::default());
     let mut first = request(1, KERNEL);

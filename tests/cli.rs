@@ -379,6 +379,30 @@ fn bad_input_fails_with_diagnostic() {
 }
 
 #[test]
+fn malformed_inputs_exit_one_with_an_error_not_a_panic() {
+    // Malformed input must end in a diagnostic and exit 1, not a panic
+    // (exit 101).
+    let inputs = [
+        "fn @x() -> void {\nentry:\n  %0 = phi i32 [0, nowhere]\n  ret\n}\n",
+        "fn @)x( -> void {\nentry:\n  ret\n}\n",
+        "fn @x() -> void {\nentry:\n  %0 = add %arg9, 1\n  ret\n}\n",
+        "fn @x() -> void {\nentry:\n  %0 = gep i32 %arg9, 1\n  ret\n}\n",
+    ];
+    for (k, input) in inputs.iter().enumerate() {
+        let path = std::env::temp_dir().join(format!("darm_cli_malformed_{k}.ir"));
+        std::fs::write(&path, input).unwrap();
+        let out = bin()
+            .args(["meld", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert_eq!(out.status.code(), Some(1), "{input:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{input:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{input:?}: {stderr}");
+    }
+}
+
+#[test]
 fn timeout_zero_degrades_every_function_and_reprints_the_input() {
     let input = write_module("darm_cli_timeout.ir");
     let out = bin()
