@@ -17,8 +17,11 @@
 
 use std::fmt;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The FNV-1a 64-bit offset basis: the state of a fresh [`Fnv64`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// The FNV-1a 64-bit prime: each byte is XORed in, then the state is
+/// multiplied by it.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// A streaming FNV-1a 64-bit hasher (see the [module docs](self) for why
 /// not `std::hash`).

@@ -4,7 +4,8 @@
 //! FNV-1a-64 streams over `canonical_spec ∥ 0x00 ∥ printed_function_ir`.
 //! The pass spec is canonicalised (parsed and re-printed) so two
 //! spellings of the same pipeline share entries, and the function text
-//! is streamed through both hashers without materialising a copy.
+//! is streamed through both digests in one pass, without materialising
+//! a copy.
 //! FNV-1a is non-cryptographic, so a *single* 64-bit digest admits
 //! constructible collisions — and a colliding hit would silently serve
 //! another function's compiled IR, since hits skip parse and verify.
@@ -26,7 +27,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-use darm_ir::hash::Fnv64;
+use darm_ir::hash::{Fnv64, FNV_OFFSET, FNV_PRIME};
 use darm_ir::Function;
 
 /// A 128-bit content key: two FNV-1a-64 digests of the same byte
@@ -39,32 +40,41 @@ pub struct ContentKey {
     hi: u64,
 }
 
-/// Streams one byte sequence into both halves of a [`ContentKey`].
+/// Streams one byte sequence into both halves of a [`ContentKey`]: two
+/// FNV-1a-64 states, advanced together in one pass over the bytes. The
+/// digests equal those of two separate [`Fnv64`] streams; interleaving
+/// the two independent multiply chains just lets them overlap.
 struct WideHasher {
-    lo: Fnv64,
-    hi: Fnv64,
+    lo: u64,
+    hi: u64,
 }
 
 impl WideHasher {
     fn new() -> WideHasher {
-        let lo = Fnv64::new();
         // Seed the second stream by absorbing a fixed tag byte: after
         // one FNV round its state is decorrelated from `lo`'s, so the
         // two digests of the same input are independent.
         let mut hi = Fnv64::new();
         hi.write_u8(0x9e);
-        WideHasher { lo, hi }
+        WideHasher {
+            lo: FNV_OFFSET,
+            hi: hi.finish(),
+        }
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        self.lo.write(bytes);
-        self.hi.write(bytes);
+        let (mut lo, mut hi) = (self.lo, self.hi);
+        for &b in bytes {
+            lo = (lo ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+            hi = (hi ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+        }
+        (self.lo, self.hi) = (lo, hi);
     }
 
     fn finish(&self) -> ContentKey {
         ContentKey {
-            lo: self.lo.finish(),
-            hi: self.hi.finish(),
+            lo: self.lo,
+            hi: self.hi,
         }
     }
 }
@@ -81,7 +91,7 @@ pub fn content_key(canonical_spec: &str, func: &Function) -> ContentKey {
     let mut hasher = WideHasher::new();
     hasher.write(canonical_spec.as_bytes());
     hasher.write(&[0]);
-    // Streams the printed IR through both hashers via `fmt::Write`.
+    // Streams the printed IR through both digests via `fmt::Write`.
     let _ = write!(hasher, "{func}");
     hasher.finish()
 }
@@ -336,5 +346,46 @@ mod tests {
         assert_ne!(a.lo, a.hi);
         assert_eq!(raw_key("meld", "x"), raw_key("meld", "x"));
         assert_ne!(raw_key("meld", "x"), raw_key("meld", "y"));
+    }
+
+    #[test]
+    fn keys_are_pinned_and_equal_two_separate_streams() {
+        use darm_ir::parser::parse_module;
+        let spec = "simplify,meld,instcombine,dce";
+        let text = "fn @pin(ptr(global) %arg0) -> void {\nentry:\n  %0 = tid.x\n  \
+                    %1 = and %0, 1\n  %2 = icmp eq %1, 0\n  br %2, t, e\nt:\n  \
+                    %3 = mul %0, 3\n  %4 = gep i32 %arg0, %0\n  store %3, %4\n  jump x\n\
+                    e:\n  %5 = add %0, 7\n  %6 = gep i32 %arg0, %0\n  store %5, %6\n  \
+                    jump x\nx:\n  ret\n}\n";
+        let module = parse_module(text).unwrap();
+        let func = &module.functions()[0];
+        // Literal keys: any change to the hashing moves every cache key.
+        let pinned_content = ContentKey {
+            lo: 0x3e97_a63a_a52c_f442,
+            hi: 0xd375_0a09_0ee7_e186,
+        };
+        let pinned_raw = ContentKey {
+            lo: 0x2b76_a5e9_2a9a_1a02,
+            hi: 0x3c85_fc37_5f1f_9256,
+        };
+        assert_eq!(content_key(spec, func), pinned_content);
+        assert_eq!(raw_key(spec, text), pinned_raw);
+        // The same keys from two separate `Fnv64` streams.
+        let two_streams = |payload: &str| {
+            let mut lo = Fnv64::new();
+            let mut hi = Fnv64::new();
+            hi.write_u8(0x9e);
+            for h in [&mut lo, &mut hi] {
+                h.write(spec.as_bytes());
+                h.write_u8(0);
+                h.write(payload.as_bytes());
+            }
+            ContentKey {
+                lo: lo.finish(),
+                hi: hi.finish(),
+            }
+        };
+        assert_eq!(two_streams(&func.to_string()), pinned_content);
+        assert_eq!(two_streams(text), pinned_raw);
     }
 }

@@ -7,6 +7,16 @@
 //! parse error, never a silently coerced value: a daemon must answer a
 //! malformed frame with a typed error, not guess.
 //!
+//! Strings are the bulk of every frame (request IR, response IR), so
+//! both directions work a run at a time, in linear time: the parser
+//! copies each maximal run up to the next quote, backslash or control
+//! byte with one `push_str`, and the writer emits each maximal run that
+//! needs no escape with one `write_str`. Escapes follow RFC 8259: the
+//! writer escapes `"`, `\` and control bytes only (`\n`, `\r`, `\t`,
+//! else `\u00XX`), and the parser accepts every escape, including
+//! `😀`-style surrogate pairs; an unpaired surrogate is an
+//! error.
+//!
 //! Numbers are kept as `f64`; the protocol's integral fields (ids, fuel,
 //! counters) are well within the 2^53 exact-integer range.
 
@@ -154,20 +164,35 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
+/// Writes `s` as a quoted JSON string literal. Each maximal run of bytes
+/// that needs no escape goes out in one `write_str`, and each escape in
+/// one more. Every escaped byte is ASCII, so every run boundary is a char
+/// boundary.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut control = *b"\\u0000";
+    out.write_str("\"")?;
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => {
+                control[4] = HEX[usize::from(b >> 4)];
+                control[5] = HEX[usize::from(b & 0xf)];
+                std::str::from_utf8(&control).expect("ascii escape")
+            }
+            _ => continue,
+        };
+        out.write_str(&s[run..i])?;
+        out.write_str(escape)?;
+        run = i + 1;
     }
-    f.write_str("\"")
+    out.write_str(&s[run..])?;
+    out.write_str("\"")
 }
 
 /// Maximum container nesting the parser accepts. Recursion depth is
@@ -266,6 +291,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote, backslash or control
+            // byte in one go. All three are ASCII, so both ends of the
+            // run are char boundaries of `text`.
+            let run = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
@@ -287,22 +323,7 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'b' => out.push('\u{8}'),
                         b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            self.pos += 4;
-                            // Surrogates are not paired — the serializer
-                            // never emits them (it escapes only controls).
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| format!("bad codepoint U+{code:04X}"))?,
-                            );
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
                         other => {
                             return Err(format!(
                                 "unknown escape `\\{}` at byte {}",
@@ -311,22 +332,47 @@ impl Parser<'_> {
                         }
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar. Every token ends on a char
-                    // boundary, so slicing the input at `pos` is O(1).
-                    let c = self
-                        .text
-                        .get(self.pos..)
-                        .and_then(|rest| rest.chars().next())
-                        .ok_or_else(|| format!("invalid utf-8 at byte {}", self.pos))?;
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(format!("raw control character at byte {}", self.pos)),
             }
         }
+    }
+
+    /// Decodes the scalar of a `\u` escape whose `\u` is already
+    /// consumed. A high surrogate must be followed by a `\u` escape of a
+    /// low surrogate, and the pair decodes to one scalar (RFC 8259 §7);
+    /// an unpaired surrogate of either kind is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let code = self.hex4()?;
+        let unpaired = |kind| format!("unpaired {kind} surrogate U+{code:04X} at byte {at}");
+        match code {
+            0xdc00..=0xdfff => Err(unpaired("low")),
+            0xd800..=0xdbff => {
+                if !self.bytes[self.pos..].starts_with(b"\\u") {
+                    return Err(unpaired("high"));
+                }
+                self.pos += 2;
+                let low = self.hex4()?;
+                if !(0xdc00..=0xdfff).contains(&low) {
+                    return Err(unpaired("high"));
+                }
+                let scalar = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                Ok(char::from_u32(scalar).expect("a surrogate pair is a supplementary scalar"))
+            }
+            _ => Ok(char::from_u32(code).expect("a non-surrogate BMP code point is a scalar")),
+        }
+    }
+
+    /// Reads exactly four hex digits.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let bad = || format!("bad \\u escape at byte {}", self.pos);
+        let digits = self.bytes.get(self.pos..self.pos + 4).ok_or_else(bad)?;
+        let mut code = 0;
+        for &d in digits {
+            code = code * 16 + char::from(d).to_digit(16).ok_or_else(bad)?;
+        }
+        self.pos += 4;
+        Ok(code)
     }
 
     fn array(&mut self) -> Result<Json, String> {
@@ -461,10 +507,18 @@ mod tests {
 
     #[test]
     fn unicode_escapes_parse() {
-        assert_eq!(
-            Json::parse("\"\\u0041\\u00e9\"").unwrap(),
-            Json::Str("Aé".to_string())
-        );
+        for (doc, expected) in [
+            ("\"\\u0041\\u00e9\"", "Aé"),
+            // Surrogate pairs decode to one scalar (RFC 8259 §7).
+            ("\"\\ud83d\\ude00\"", "😀"),
+            ("\"\\uD83D\\uDE00\"", "😀"),
+            ("\"\\ud800\\udc00\"", "\u{10000}"),
+            ("\"\\udbff\\udfff\"", "\u{10ffff}"),
+            // What Python's default `json.dumps` sends for an IR comment.
+            ("\"// a \\ud83d\\ude00 comment\\n\"", "// a 😀 comment\n"),
+        ] {
+            assert_eq!(Json::parse(doc), Ok(Json::str(expected)), "{doc:?}");
+        }
         // Controls below 0x20 are escaped on output, parsed on input.
         let s = Json::Str("\u{1}".to_string());
         assert_eq!(s.to_string(), "\"\\u0001\"");
@@ -504,5 +558,163 @@ mod tests {
             elapsed < std::time::Duration::from_secs(2),
             "256 KiB string took {elapsed:?}"
         );
+    }
+
+    /// The per-char writer this module shipped before runs: the frozen
+    /// oracle the run-at-a-time [`write_escaped`] must match byte for
+    /// byte.
+    fn oracle_write_escaped(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => write!(f, "{c}")?,
+            }
+        }
+        f.write_str("\"")
+    }
+
+    fn oracle_cases() -> Vec<String> {
+        // Every ASCII byte alone, and all of them in one run.
+        let mut cases: Vec<String> = (0u8..0x80).map(|b| char::from(b).to_string()).collect();
+        cases.push((0u8..0x80).map(char::from).collect());
+        // Quote and backslash at the start and end of runs, the empty
+        // string and an all-escape string.
+        for s in [
+            "",
+            "\"",
+            "\\",
+            "\"abc",
+            "abc\"",
+            "\\abc",
+            "abc\\",
+            "\"abc\\",
+            "\\abc\"",
+            "ab\"cd\\ef",
+            "\"\"\\\\",
+            "\"\\\n\r\t\u{0}\u{8}\u{c}\u{1f}",
+        ] {
+            cases.push(s.to_string());
+        }
+        // 2-, 3- and 4-byte scalars next to escapes.
+        for wide in ["é", "€", "😀", "𝄞é€"] {
+            for esc in ["\"", "\\", "\n", "\u{1}", "\u{1f}"] {
+                cases.push(format!("{wide}{esc}"));
+                cases.push(format!("{esc}{wide}"));
+                cases.push(format!("{esc}{wide}{esc}{wide}"));
+                cases.push(format!("{wide}{esc}{esc}{wide}"));
+            }
+        }
+        // A real payload: the printed fig8+fig9 suite module.
+        let mut suite = darm_bench::fig8_cases();
+        suite.extend(darm_bench::fig9_cases());
+        cases.push(darm_bench::suite_module("fig8+fig9", &suite).to_string());
+        cases
+    }
+
+    #[test]
+    fn writer_matches_the_per_char_oracle_and_round_trips() {
+        for s in oracle_cases() {
+            let mut expected = String::new();
+            oracle_write_escaped(&mut expected, &s).unwrap();
+            let rendered = Json::str(s.as_str()).to_string();
+            assert_eq!(rendered, expected, "rendering of {s:?}");
+            assert_eq!(Json::parse(&rendered).unwrap(), Json::Str(s));
+        }
+    }
+
+    /// Counts `write_str` calls: the writer's cost model, with no timing.
+    #[derive(Default)]
+    struct Counting {
+        calls: usize,
+        text: String,
+    }
+
+    impl fmt::Write for Counting {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            self.calls += 1;
+            self.text.push_str(s);
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn writer_emits_runs_not_chars() {
+        let clean = "aé€😀".repeat(64 * 1024 / 10 + 1);
+        assert!(clean.len() >= 64 * 1024);
+        let mut out = Counting::default();
+        write_escaped(&mut out, &clean).unwrap();
+        assert!(
+            out.calls <= 3,
+            "{} calls for an escape-free string",
+            out.calls
+        );
+        assert_eq!(out.text, format!("\"{clean}\""));
+
+        for k in [1, 2, 7, 100, 4096] {
+            // Escapes both between runs and back to back.
+            let s: String = (0..k)
+                .map(|i| if i % 3 == 0 { "\n\"" } else { "run é\\" })
+                .collect();
+            let escapes = s
+                .bytes()
+                .filter(|b| matches!(b, b'\n' | b'"' | b'\\'))
+                .count();
+            let mut out = Counting::default();
+            write_escaped(&mut out, &s).unwrap();
+            assert!(
+                out.calls <= 2 * escapes + 3,
+                "{} calls for {escapes} escapes",
+                out.calls
+            );
+            let mut expected = String::new();
+            oracle_write_escaped(&mut expected, &s).unwrap();
+            assert_eq!(out.text, expected);
+        }
+    }
+
+    #[test]
+    fn string_errors_name_their_byte_offset() {
+        for (doc, expected) in [
+            ("\"ab\u{1}c\"", "raw control character at byte 3"),
+            ("\"é\u{1f}\"", "raw control character at byte 3"),
+            ("\"abc", "unterminated string"),
+            ("\"abc\\", "unterminated escape"),
+            ("\"a\\qb\"", "unknown escape `\\q` at byte 4"),
+            ("\"\\u12G4\"", "bad \\u escape at byte 3"),
+            ("\"\\u12\"", "bad \\u escape at byte 3"),
+            ("\"\\u00é\"", "bad \\u escape at byte 3"),
+            ("{\"k\":\"x\\u\"}", "bad \\u escape at byte 9"),
+            // Surrogates: unpaired halves are errors at the offending
+            // escape's hex digits.
+            ("\"\\ud83d\"", "unpaired high surrogate U+D83D at byte 3"),
+            ("\"\\ud83dx\"", "unpaired high surrogate U+D83D at byte 3"),
+            ("\"\\ud83d\\", "unpaired high surrogate U+D83D at byte 3"),
+            ("\"\\ud83d\\n\"", "unpaired high surrogate U+D83D at byte 3"),
+            (
+                "\"\\ud83d\\u0041\"",
+                "unpaired high surrogate U+D83D at byte 3",
+            ),
+            (
+                "\"\\uD83D\\uD83D\"",
+                "unpaired high surrogate U+D83D at byte 3",
+            ),
+            ("\"\\ude00\"", "unpaired low surrogate U+DE00 at byte 3"),
+            (
+                "\"x\\uDFFF\\ud83d\"",
+                "unpaired low surrogate U+DFFF at byte 4",
+            ),
+            ("\"\\ud83d\\uzz00\"", "bad \\u escape at byte 9"),
+            ("\"\\ud83d\\ude0\"", "bad \\u escape at byte 9"),
+            // `\u` takes exactly four hex digits; a sign is not one.
+            ("\"\\u+041\"", "bad \\u escape at byte 3"),
+        ] {
+            assert_eq!(Json::parse(doc), Err(expected.to_string()), "{doc:?}");
+        }
     }
 }

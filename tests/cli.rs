@@ -628,6 +628,21 @@ mod serve_protocol {
     }
 
     #[test]
+    fn surrogate_pair_escapes_decode_like_raw_utf8() {
+        // Python's default `json.dumps` escapes every non-ASCII scalar,
+        // so an astral one arrives as a surrogate pair (RFC 8259 §7).
+        let ir = format!("// a \u{1F600} comment\n{KERNEL}");
+        let mut daemon = Daemon::spawn(&["--jobs", "1"]);
+        daemon.send(&compile_request(1, &ir));
+        let raw = daemon.recv();
+        assert!(raw.contains("\"status\":\"ok\""), "{raw}");
+        daemon.send(&compile_request(1, &ir).replace('\u{1F600}', "\\ud83d\\ude00"));
+        let escaped = daemon.recv();
+        assert_eq!(raw.replace("\"cached\":false", "\"cached\":true"), escaped);
+        daemon.finish();
+    }
+
+    #[test]
     fn warm_hit_response_is_byte_identical_to_cold() {
         let mut daemon = Daemon::spawn(&["--jobs", "1"]);
         daemon.send(&compile_request(7, KERNEL));
