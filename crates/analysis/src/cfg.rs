@@ -1,6 +1,28 @@
 //! Control-flow graph views: predecessors, successors, traversal orders.
+//!
+//! # Layout
+//!
+//! A [`Cfg`] stores both adjacency directions in compressed sparse row
+//! (CSR) form: one flat edge array per direction plus an offset array
+//! indexed by block arena index, so the edges of block `b` are
+//! `succ[succ_off[b]..succ_off[b + 1]]` (likewise `pred`/`pred_off`). The
+//! whole graph is seven allocations whatever the block count — the
+//! offsets, the two edge arrays, the reverse post-order, its index table
+//! and the DFS stack — where a `Vec` per block and direction would cost
+//! two allocations per block on every recompute. The dominator and
+//! post-dominator trees ([`crate::dom`]) walk these same arrays instead
+//! of building graphs of their own.
+//!
+//! Successor rows are filled from [`Function::succ_slice`] for every live
+//! block, reachable or not, in terminator order (`br c, X, X` lists `X`
+//! twice). Predecessor rows hold only edges whose source is reachable from
+//! the entry, ordered by the source's reverse post-order position and then
+//! by the source's successor order.
 
 use darm_ir::{BlockId, Function};
+
+/// Marks a block the DFS has pushed but not yet numbered.
+const ON_STACK: usize = usize::MAX - 1;
 
 /// A snapshot of a function's CFG structure.
 ///
@@ -8,8 +30,13 @@ use darm_ir::{BlockId, Function};
 #[derive(Debug, Clone)]
 pub struct Cfg {
     entry: BlockId,
-    preds: Vec<Vec<BlockId>>,
-    succs: Vec<Vec<BlockId>>,
+    /// `succ_off[b]..succ_off[b + 1]` indexes `b`'s row of `succ`; one
+    /// more entry than the block capacity.
+    succ_off: Vec<usize>,
+    succ: Vec<BlockId>,
+    /// The same layout for predecessors (reachable sources only).
+    pred_off: Vec<usize>,
+    pred: Vec<BlockId>,
     rpo: Vec<BlockId>,
     rpo_index: Vec<usize>,
 }
@@ -20,23 +47,35 @@ impl Cfg {
     /// unreachable code does not constrain analyses).
     pub fn new(func: &Function) -> Cfg {
         let cap = func.block_capacity();
-        let mut succs = vec![Vec::new(); cap];
-        for b in func.block_ids() {
-            succs[b.index()] = func.succs(b);
+        // A removed block has no instructions, so its row is empty.
+        let row = |i: usize| func.succ_slice(BlockId::new(i));
+        // Successor rows, sized exactly before they are filled.
+        let edges: usize = (0..cap).map(|i| row(i).len()).sum();
+        let mut succ_off = Vec::with_capacity(cap + 1);
+        let mut succ = Vec::with_capacity(edges);
+        succ_off.push(0);
+        for i in 0..cap {
+            succ.extend_from_slice(row(i));
+            succ_off.push(succ.len());
         }
-        // Depth-first post-order from the entry, then reverse.
+        let succs_of = |b: BlockId| &succ[succ_off[b.index()]..succ_off[b.index() + 1]];
+
+        // Depth-first post-order from the entry (iterative, with explicit
+        // (block, next-successor) state), then reversed in place.
+        // `rpo_index` doubles as the visited mark until it is numbered.
         let entry = func.entry();
-        let mut visited = vec![false; cap];
-        let mut post = Vec::new();
-        // Iterative DFS with explicit state (block, next-successor-index).
-        let mut stack: Vec<(BlockId, usize)> = vec![(entry, 0)];
-        visited[entry.index()] = true;
+        let mut rpo_index = vec![usize::MAX; cap];
+        let mut post = Vec::with_capacity(cap);
+        let mut stack: Vec<(BlockId, usize)> = Vec::with_capacity(cap);
+        stack.push((entry, 0));
+        rpo_index[entry.index()] = ON_STACK;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            if *i < succs[b.index()].len() {
-                let s = succs[b.index()][*i];
+            let out = succs_of(b);
+            if *i < out.len() {
+                let s = out[*i];
                 *i += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
+                if rpo_index[s.index()] == usize::MAX {
+                    rpo_index[s.index()] = ON_STACK;
                     stack.push((s, 0));
                 }
             } else {
@@ -45,20 +84,40 @@ impl Cfg {
             }
         }
         post.reverse();
-        let mut rpo_index = vec![usize::MAX; cap];
         for (i, b) in post.iter().enumerate() {
             rpo_index[b.index()] = i;
         }
-        let mut preds = vec![Vec::new(); cap];
+
+        // Predecessor rows: count per target, prefix-sum into offsets, then
+        // fill in RPO order of the source so each row keeps that order.
+        let mut pred_off = vec![0usize; cap + 1];
         for &b in &post {
-            for &s in &succs[b.index()] {
-                preds[s.index()].push(b);
+            for &s in succs_of(b) {
+                pred_off[s.index() + 1] += 1;
             }
         }
+        for i in 0..cap {
+            pred_off[i + 1] += pred_off[i];
+        }
+        let mut pred = vec![entry; pred_off[cap]];
+        // `pred_off[t]` serves as row `t`'s fill cursor, ending at the
+        // next row's start.
+        for &b in &post {
+            for &s in succs_of(b) {
+                let slot = &mut pred_off[s.index()];
+                pred[*slot] = b;
+                *slot += 1;
+            }
+        }
+        // Shift the advanced cursors back into row starts.
+        pred_off.copy_within(..cap, 1);
+        pred_off[0] = 0;
         Cfg {
             entry,
-            preds,
-            succs,
+            succ_off,
+            succ,
+            pred_off,
+            pred,
             rpo: post,
             rpo_index,
         }
@@ -71,12 +130,12 @@ impl Cfg {
 
     /// Predecessors of `b` (one entry per edge).
     pub fn preds(&self, b: BlockId) -> &[BlockId] {
-        &self.preds[b.index()]
+        &self.pred[self.pred_off[b.index()]..self.pred_off[b.index() + 1]]
     }
 
     /// Successors of `b`.
     pub fn succs(&self, b: BlockId) -> &[BlockId] {
-        &self.succs[b.index()]
+        &self.succ[self.succ_off[b.index()]..self.succ_off[b.index() + 1]]
     }
 
     /// Blocks reachable from the entry, in reverse post-order.
@@ -102,7 +161,7 @@ impl Cfg {
         if from == barrier {
             return Vec::new();
         }
-        let mut seen = vec![false; self.preds.len()];
+        let mut seen = vec![false; self.rpo_index.len()];
         let mut out = Vec::new();
         let mut stack = vec![from];
         seen[from.index()] = true;

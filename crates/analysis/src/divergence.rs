@@ -94,11 +94,13 @@ impl DivergenceAnalysis {
     ) -> DivergenceAnalysis {
         let mut div_inst = vec![false; func.inst_capacity()];
         let mut div_branch_block = vec![false; func.block_capacity()];
-        let blocks = func.block_ids();
         let mut frontiers: Option<Vec<Vec<BlockId>>> = None;
         loop {
             let mut changed = false;
-            for &b in &blocks {
+            for b in (0..func.block_capacity()).map(BlockId::new) {
+                if !func.is_block_alive(b) {
+                    continue;
+                }
                 for &id in func.insts_of(b) {
                     if div_inst[id.index()] {
                         continue;
@@ -140,7 +142,7 @@ impl DivergenceAnalysis {
                 let df = frontiers.get_or_insert_with(|| dt.dominance_frontiers(cfg));
                 let joins = DivergenceAnalysis::branch_joins(df, pdt, b, &inst.succs);
                 for &j in joins.iter() {
-                    for phi in func.phis_of(j) {
+                    for &phi in func.phi_slice(j) {
                         if !div_inst[phi.index()] {
                             div_inst[phi.index()] = true;
                             changed = true;

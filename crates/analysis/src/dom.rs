@@ -2,30 +2,55 @@
 //! dominance frontiers.
 //!
 //! Implements the Cooper–Harvey–Kennedy "engineered" dominance algorithm on
-//! reverse post-order. The post-dominator tree runs the same core on the
-//! reversed CFG with a virtual exit node collecting all `ret` blocks. Both
-//! trees are recomputed from scratch whenever the block graph changes (the
-//! `AnalysisManager` read rule decides when).
+//! reverse post-order. Both trees are recomputed in full whenever the
+//! block graph changes (the `AnalysisManager` read rule decides when), and
+//! both read the CSR adjacency of the [`Cfg`] snapshot they are given
+//! rather than building graphs of their own:
+//!
+//! * the dominator tree iterates [`Cfg::rpo`] and intersects over
+//!   [`Cfg::preds`], which already holds only reachable sources;
+//! * the post-dominator tree runs the same core on the reversed CFG with a
+//!   *virtual exit* node (index = block capacity) whose reverse successors
+//!   are the reachable blocks without successors (the `ret` blocks). The
+//!   virtual exit and its edges are implicit: the reverse DFS walks
+//!   [`Cfg::preds`], and a node's reverse predecessors are [`Cfg::succs`]
+//!   plus the virtual exit when that row is empty. Blocks that cannot reach
+//!   a `ret` (infinite loops) and unreachable blocks stay outside the tree.
+//!
+//! Tree depths, which make `dominates` a walk up from the deeper node, are
+//! filled in one pass in reverse post-order: a node's immediate dominator
+//! precedes it in that order, so its depth is already known.
 
 use crate::cfg::Cfg;
 use darm_ir::{BlockId, Function};
 
-/// Core dominator computation over an abstract graph of `n` nodes.
-/// Returns `idom[v]` (None for the root and unreachable nodes).
-fn compute_idoms(n: usize, root: usize, preds: &[Vec<usize>], rpo: &[usize]) -> Vec<Option<usize>> {
-    let mut rpo_index = vec![usize::MAX; n];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_index[b] = i;
-    }
-    let mut idom: Vec<Option<usize>> = vec![None; n];
-    idom[root] = Some(root);
-    let intersect = |idom: &[Option<usize>], mut a: usize, mut b: usize| {
+/// "No node": the root's immediate dominator, and the idom and depth of
+/// nodes outside the tree.
+const NONE: u32 = u32::MAX;
+
+/// Core dominator computation over an abstract graph of `n` nodes, given a
+/// reverse post-order from `rpo[0]` (the root), each node's position in it
+/// (`rpo_index`, `usize::MAX` outside), and each node's predecessors.
+/// Returns `(idom, depth)`, both [`NONE`] for the root's idom and for
+/// nodes outside the order.
+fn compute_idoms<P: Iterator<Item = usize>>(
+    n: usize,
+    rpo: impl Fn(usize) -> usize,
+    rpo_len: usize,
+    rpo_index: impl Fn(usize) -> usize,
+    preds: impl Fn(usize) -> P,
+) -> (Vec<u32>, Vec<u32>) {
+    assert!(n < NONE as usize, "node indices fit the u32 tree encoding");
+    let root = rpo(0);
+    let mut idom = vec![NONE; n];
+    idom[root] = root as u32;
+    let intersect = |idom: &[u32], mut a: usize, mut b: usize| {
         while a != b {
-            while rpo_index[a] > rpo_index[b] {
-                a = idom[a].expect("processed node must have idom");
+            while rpo_index(a) > rpo_index(b) {
+                a = idom[a] as usize;
             }
-            while rpo_index[b] > rpo_index[a] {
-                b = idom[b].expect("processed node must have idom");
+            while rpo_index(b) > rpo_index(a) {
+                b = idom[b] as usize;
             }
         }
         a
@@ -33,10 +58,11 @@ fn compute_idoms(n: usize, root: usize, preds: &[Vec<usize>], rpo: &[usize]) -> 
     let mut changed = true;
     while changed {
         changed = false;
-        for &b in rpo.iter().skip(1) {
+        for k in 1..rpo_len {
+            let b = rpo(k);
             let mut new_idom: Option<usize> = None;
-            for &p in &preds[b] {
-                if idom[p].is_none() {
+            for p in preds(b) {
+                if idom[p] == NONE {
                     continue;
                 }
                 new_idom = Some(match new_idom {
@@ -45,43 +71,39 @@ fn compute_idoms(n: usize, root: usize, preds: &[Vec<usize>], rpo: &[usize]) -> 
                 });
             }
             if let Some(ni) = new_idom {
-                if idom[b] != Some(ni) {
-                    idom[b] = Some(ni);
+                if idom[b] != ni as u32 {
+                    idom[b] = ni as u32;
                     changed = true;
                 }
             }
         }
     }
-    idom[root] = None; // root has no immediate dominator
-    idom
+    idom[root] = NONE; // the root has no immediate dominator
+    let mut depth = vec![NONE; n];
+    depth[root] = 0;
+    for k in 1..rpo_len {
+        let b = rpo(k);
+        depth[b] = depth[idom[b] as usize] + 1;
+    }
+    (idom, depth)
 }
 
-fn tree_depths(n: usize, idom: &[Option<usize>], root: usize) -> Vec<u32> {
-    let mut depth = vec![u32::MAX; n];
-    depth[root] = 0;
-    // Nodes form a forest rooted at `root`; resolve depths iteratively.
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for v in 0..n {
-            if depth[v] != u32::MAX {
-                continue;
-            }
-            if let Some(d) = idom[v] {
-                if depth[d] != u32::MAX {
-                    depth[v] = depth[d] + 1;
-                    changed = true;
-                }
-            }
-        }
+/// Whether `a` is an ancestor-or-self of `b` in the tree given by `idom`
+/// and `depth`.
+fn tree_contains(idom: &[u32], depth: &[u32], a: usize, mut b: usize) -> bool {
+    if depth[a] == NONE || depth[b] == NONE {
+        return false;
     }
-    depth
+    while depth[b] > depth[a] {
+        b = idom[b] as usize;
+    }
+    a == b
 }
 
 /// The dominator tree of a function.
 #[derive(Debug, Clone)]
 pub struct DomTree {
-    idom: Vec<Option<usize>>,
+    idom: Vec<u32>,
     depth: Vec<u32>,
     entry: usize,
 }
@@ -89,38 +111,31 @@ pub struct DomTree {
 impl DomTree {
     /// Computes the dominator tree from a CFG snapshot.
     pub fn new(func: &Function, cfg: &Cfg) -> DomTree {
-        let n = func.block_capacity();
-        let mut preds = vec![Vec::new(); n];
-        for &b in cfg.rpo() {
-            for &p in cfg.preds(b) {
-                if cfg.is_reachable(p) {
-                    preds[b.index()].push(p.index());
-                }
-            }
+        let rpo = cfg.rpo();
+        let (idom, depth) = compute_idoms(
+            func.block_capacity(),
+            |k| rpo[k].index(),
+            rpo.len(),
+            |v| cfg.rpo_index(BlockId::new(v)),
+            |v| cfg.preds(BlockId::new(v)).iter().map(|p| p.index()),
+        );
+        DomTree {
+            idom,
+            depth,
+            entry: cfg.entry().index(),
         }
-        let rpo: Vec<usize> = cfg.rpo().iter().map(|b| b.index()).collect();
-        let entry = cfg.entry().index();
-        let idom = compute_idoms(n, entry, &preds, &rpo);
-        let depth = tree_depths(n, &idom, entry);
-        DomTree { idom, depth, entry }
     }
 
     /// The immediate dominator of `b` (`None` for the entry or unreachable
     /// blocks).
     pub fn idom(&self, b: BlockId) -> Option<BlockId> {
-        self.idom[b.index()].map(BlockId::new)
+        let d = self.idom[b.index()];
+        (d != NONE).then(|| BlockId::new(d as usize))
     }
 
     /// Whether `a` dominates `b` (reflexive).
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let (a, mut b) = (a.index(), b.index());
-        if self.depth[a] == u32::MAX || self.depth[b] == u32::MAX {
-            return false;
-        }
-        while self.depth[b] > self.depth[a] {
-            b = self.idom[b].expect("depth > 0 implies idom");
-        }
-        a == b
+        tree_contains(&self.idom, &self.depth, a.index(), b.index())
     }
 
     /// Whether `a` strictly dominates `b`.
@@ -143,19 +158,17 @@ impl DomTree {
             if preds.len() < 2 {
                 continue;
             }
-            let Some(idom_b) = self.idom[b.index()] else {
+            let idom_b = self.idom[b.index()];
+            if idom_b == NONE {
                 continue;
-            };
+            }
             for &p in preds {
-                if !cfg.is_reachable(p) {
-                    continue;
-                }
-                let mut runner = p.index();
+                let mut runner = p.index() as u32;
                 while runner != idom_b {
-                    df[runner].push(b);
-                    match self.idom[runner] {
-                        Some(next) => runner = next,
-                        None => break,
+                    df[runner as usize].push(b);
+                    runner = self.idom[runner as usize];
+                    if runner == NONE {
+                        break;
                     }
                 }
             }
@@ -202,54 +215,10 @@ impl DomTree {
 /// with a virtual exit.
 #[derive(Debug, Clone)]
 pub struct PostDomTree {
-    idom: Vec<Option<usize>>,
+    idom: Vec<u32>,
     depth: Vec<u32>,
     /// Index of the virtual exit node (== number of block slots).
     virtual_exit: usize,
-}
-
-/// Builds the reversed graph (with a virtual exit collecting terminator-
-/// less blocks) and its reverse post-order from the virtual exit.
-fn build_reverse_graph(n: usize, cfg: &Cfg) -> (Vec<Vec<usize>>, Vec<usize>) {
-    let virtual_exit = n;
-    // Reversed graph: rev_preds[v] = successors of v in the original CFG,
-    // plus edges ret-block -> virtual exit.
-    let mut rev_preds: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    for &b in cfg.rpo() {
-        for &s in cfg.succs(b) {
-            rev_preds[b.index()].push(s.index());
-        }
-        if cfg.succs(b).is_empty() {
-            rev_preds[b.index()].push(virtual_exit);
-        }
-    }
-    // RPO of the reversed graph = reverse of a post-order DFS from the
-    // virtual exit following reversed edges (original succ -> pred).
-    let mut rev_succs: Vec<Vec<usize>> = vec![Vec::new(); n + 1];
-    for (v, ps) in rev_preds.iter().enumerate() {
-        for &p in ps {
-            rev_succs[p].push(v);
-        }
-    }
-    let mut visited = vec![false; n + 1];
-    let mut post = Vec::new();
-    let mut stack: Vec<(usize, usize)> = vec![(virtual_exit, 0)];
-    visited[virtual_exit] = true;
-    while let Some(&mut (v, ref mut i)) = stack.last_mut() {
-        if *i < rev_succs[v].len() {
-            let s = rev_succs[v][*i];
-            *i += 1;
-            if !visited[s] {
-                visited[s] = true;
-                stack.push((s, 0));
-            }
-        } else {
-            post.push(v);
-            stack.pop();
-        }
-    }
-    post.reverse();
-    (rev_preds, post)
 }
 
 impl PostDomTree {
@@ -257,9 +226,64 @@ impl PostDomTree {
     pub fn new(func: &Function, cfg: &Cfg) -> PostDomTree {
         let n = func.block_capacity();
         let virtual_exit = n;
-        let (rev_preds, post) = build_reverse_graph(n, cfg);
-        let idom = compute_idoms(n + 1, virtual_exit, &rev_preds, &post);
-        let depth = tree_depths(n + 1, &idom, virtual_exit);
+        // Reverse post-order of the reversed graph: a DFS from the virtual
+        // exit whose successors are the exit blocks (scanned in `cfg.rpo()`
+        // order) and, for a block, its CFG predecessors. Stack entries are
+        // (node, next row position); `order` doubles as the visited mark.
+        let rpo = cfg.rpo();
+        let mut order = vec![usize::MAX; n + 1];
+        let mut post = Vec::with_capacity(rpo.len() + 1);
+        let mut stack: Vec<(usize, usize)> = Vec::with_capacity(rpo.len() + 1);
+        stack.push((virtual_exit, 0));
+        order[virtual_exit] = 0;
+        while let Some(&mut (v, ref mut i)) = stack.last_mut() {
+            let next = if v == virtual_exit {
+                let k = rpo[*i..].iter().position(|&b| cfg.succs(b).is_empty());
+                k.map(|k| {
+                    *i += k + 1;
+                    rpo[*i - 1].index()
+                })
+            } else {
+                let row = cfg.preds(BlockId::new(v));
+                row.get(*i).map(|p| {
+                    *i += 1;
+                    p.index()
+                })
+            };
+            match next {
+                Some(s) if order[s] == usize::MAX => {
+                    order[s] = 0;
+                    stack.push((s, 0));
+                }
+                Some(_) => {}
+                None => {
+                    post.push(v);
+                    stack.pop();
+                }
+            }
+        }
+        post.reverse();
+        order.fill(usize::MAX);
+        for (k, &v) in post.iter().enumerate() {
+            order[v] = k;
+        }
+        let exit_edge = |v: usize| {
+            cfg.succs(BlockId::new(v))
+                .is_empty()
+                .then_some(virtual_exit)
+        };
+        let (idom, depth) = compute_idoms(
+            n + 1,
+            |k| post[k],
+            post.len(),
+            |v| order[v],
+            |v| {
+                cfg.succs(BlockId::new(v))
+                    .iter()
+                    .map(|s| s.index())
+                    .chain(exit_edge(v))
+            },
+        );
         PostDomTree {
             idom,
             depth,
@@ -271,21 +295,15 @@ impl PostDomTree {
     /// (i.e. the function return).
     pub fn ipdom(&self, b: BlockId) -> Option<BlockId> {
         match self.idom[b.index()] {
-            Some(v) if v != self.virtual_exit => Some(BlockId::new(v)),
-            _ => None,
+            NONE => None,
+            v if v as usize == self.virtual_exit => None,
+            v => Some(BlockId::new(v as usize)),
         }
     }
 
     /// Whether `a` post-dominates `b` (reflexive).
     pub fn post_dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let (a, mut b) = (a.index(), b.index());
-        if self.depth[a] == u32::MAX || self.depth[b] == u32::MAX {
-            return false;
-        }
-        while self.depth[b] > self.depth[a] {
-            b = self.idom[b].expect("depth > 0 implies idom");
-        }
-        a == b
+        tree_contains(&self.idom, &self.depth, a.index(), b.index())
     }
 }
 

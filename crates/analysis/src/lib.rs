@@ -38,4 +38,4 @@ pub use liveness::{max_pressure, InstSet, Liveness};
 pub use loops::LoopInfo;
 pub use manager::{Analysis, AnalysisCounters, AnalysisManager, PreservedAnalyses};
 pub use regions::{sese_chain, SeseSubgraph};
-pub use verify::verify_ssa;
+pub use verify::{first_undominated_use, verify_ssa, UndominatedUse};

@@ -1,17 +1,23 @@
 //! Full SSA verification: structural checks plus dominance of definitions
 //! over uses. Run after every transformation in tests; melding bugs show up
 //! here first.
+//!
+//! [`verify_ssa`] is two sweeps that allocate a fixed number of tables
+//! whatever the function's size: [`Function::verify_structure`] walks the
+//! blocks once (borrowing block names, checking operand types from a stack
+//! buffer, and building predecessor sets only once it meets a φ), then
+//! [`first_undominated_use`] walks the reachable blocks in reverse
+//! post-order against a [`DomTree`] over a fresh [`Cfg`]. Messages are
+//! formatted only on the error path. [`first_undominated_use`] is also
+//! the check SSA repair (`darm-transforms`) uses to find the definition
+//! to repair, so the verifier and the repair agree by construction.
 
 use crate::cfg::Cfg;
 use crate::dom::DomTree;
-use darm_ir::{Function, IrError, Opcode, Value};
+use darm_ir::{BlockId, Function, InstId, IrError, Opcode, Value};
 
 /// Verifies structural invariants ([`Function::verify_structure`]) and the
-/// SSA dominance property:
-///
-/// * a non-φ use must be dominated by its definition (same-block uses must
-///   come after the definition),
-/// * a φ incoming value must dominate the terminator of its incoming block.
+/// SSA dominance property (see [`first_undominated_use`]).
 ///
 /// Unreachable blocks are ignored (dominance is undefined there), matching
 /// LLVM's verifier behaviour.
@@ -23,34 +29,74 @@ pub fn verify_ssa(func: &Function) -> Result<(), IrError> {
     func.verify_structure()?;
     let cfg = Cfg::new(func);
     let dt = DomTree::new(func, &cfg);
+    let Some(bad) = first_undominated_use(func, &cfg, &dt) else {
+        return Ok(());
+    };
+    let def_block = func.inst(bad.def).block;
+    Err(IrError::SsaViolation(match bad.phi_pred {
+        Some(pred) => format!(
+            "phi %{} in {}: incoming %{} (defined in {}) does not dominate pred {}",
+            bad.user.index(),
+            func.block_name(bad.block),
+            bad.def.index(),
+            func.block_name(def_block),
+            func.block_name(pred)
+        ),
+        None => format!(
+            "%{} in {} uses %{} (defined in {}) which does not dominate it",
+            bad.user.index(),
+            func.block_name(bad.block),
+            bad.def.index(),
+            func.block_name(def_block)
+        ),
+    }))
+}
 
-    // Per-block instruction positions for same-block ordering checks.
-    let mut pos = vec![usize::MAX; func.inst_capacity()];
-    for &b in cfg.rpo() {
-        for (k, &id) in func.insts_of(b).iter().enumerate() {
-            pos[id.index()] = k;
-        }
-    }
+/// A use whose definition does not dominate it (see
+/// [`first_undominated_use`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UndominatedUse {
+    /// The instruction holding the offending operand.
+    pub user: InstId,
+    /// The block `user` lives in.
+    pub block: BlockId,
+    /// The definition that fails to dominate the use.
+    pub def: InstId,
+    /// For a φ operand, the incoming block the definition must dominate.
+    pub phi_pred: Option<BlockId>,
+}
 
+/// The first use, in reverse post-order of blocks and program order within
+/// them, that breaks the SSA dominance property:
+///
+/// * a non-φ use must be dominated by its definition (same-block uses must
+///   come after the definition),
+/// * a φ incoming value must dominate the terminator of its incoming block
+///   (edges from unreachable blocks are skipped).
+///
+/// One sweep: a use in the defining block is in order exactly when the
+/// sweep has already passed the definition, so a visited mark per
+/// instruction replaces a table of block positions. The structure is
+/// assumed valid ([`Function::verify_structure`]): every operand names a
+/// live instruction.
+pub fn first_undominated_use(func: &Function, cfg: &Cfg, dt: &DomTree) -> Option<UndominatedUse> {
+    let mut seen = vec![false; func.inst_capacity()];
     for &b in cfg.rpo() {
         for &id in func.insts_of(b) {
             let inst = func.inst(id);
             if inst.opcode == Opcode::Phi {
                 for (pred, val) in inst.phi_incoming() {
                     let Value::Inst(def) = val else { continue };
-                    let def_block = func.inst(def).block;
                     if !cfg.is_reachable(pred) {
                         continue;
                     }
-                    if !dt.dominates(def_block, pred) {
-                        return Err(IrError::SsaViolation(format!(
-                            "phi %{} in {}: incoming %{} (defined in {}) does not dominate pred {}",
-                            id.index(),
-                            func.block_name(b),
-                            def.index(),
-                            func.block_name(def_block),
-                            func.block_name(pred)
-                        )));
+                    if !dt.dominates(func.inst(def).block, pred) {
+                        return Some(UndominatedUse {
+                            user: id,
+                            block: b,
+                            def,
+                            phi_pred: Some(pred),
+                        });
                     }
                 }
             } else {
@@ -58,24 +104,24 @@ pub fn verify_ssa(func: &Function) -> Result<(), IrError> {
                     let Value::Inst(def) = op else { continue };
                     let def_block = func.inst(def).block;
                     let ok = if def_block == b {
-                        pos[def.index()] < pos[id.index()]
+                        seen[def.index()]
                     } else {
                         dt.dominates(def_block, b)
                     };
                     if !ok {
-                        return Err(IrError::SsaViolation(format!(
-                            "%{} in {} uses %{} (defined in {}) which does not dominate it",
-                            id.index(),
-                            func.block_name(b),
-                            def.index(),
-                            func.block_name(def_block)
-                        )));
+                        return Some(UndominatedUse {
+                            user: id,
+                            block: b,
+                            def,
+                            phi_pred: None,
+                        });
                     }
                 }
             }
+            seen[id.index()] = true;
         }
     }
-    Ok(())
+    None
 }
 
 #[cfg(test)]

@@ -12,12 +12,16 @@
 //! `cargo bench --bench interp_throughput` — measure.
 //! `cargo bench --bench interp_throughput -- --test` — smoke mode: each
 //! engine runs every case once and the stats are cross-checked, then
-//! quick min-estimator ratios are recorded through
-//! [`darm_bench::perfjson`] (keys `interp_throughput/bytecode_vs_reference`
-//! and `interp_throughput/bytecode_vs_prepared`) for the perf gate.
+//! ratios from the interleaved min-of-rounds estimator
+//! ([`darm_bench::time_per_call`] per sample, the three engines timed back
+//! to back on each case in every round, the minimum over rounds kept) are
+//! recorded through [`darm_bench::perfjson`] (keys
+//! `interp_throughput/bytecode_vs_reference` and
+//! `interp_throughput/bytecode_vs_prepared`) for the perf gate. The spread
+//! of the per-round geomeans is printed beside them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use darm_bench::{fig9_cases, geomean, perfjson};
+use darm_bench::{fig9_cases, geomean, perfjson, time_per_call};
 use darm_kernels::BenchCase;
 use darm_simt::{BytecodeKernel, Gpu, GpuConfig, KernelStats, PreparedKernel};
 use std::time::Instant;
@@ -64,9 +68,12 @@ fn time_per_call_budget(budget: f64, mut f: impl FnMut()) -> f64 {
 }
 
 /// Full-run timing: ~100 ms per measurement.
-fn time_per_call(f: impl FnMut()) -> f64 {
+fn time_per_call_full(f: impl FnMut()) -> f64 {
     time_per_call_budget(0.1, f)
 }
+
+/// Rounds of the smoke-mode estimator.
+const SMOKE_ROUNDS: usize = 5;
 
 fn bench(c: &mut Criterion) {
     let test_mode = c.is_test_mode();
@@ -93,13 +100,21 @@ fn bench(c: &mut Criterion) {
     group.finish();
 
     if test_mode {
-        // Smoke mode: one untimed cross-check per engine, then quick
-        // min-estimator ratios for the perf gate.
-        let (mut bc_vs_ref, mut bc_vs_dec) = (Vec::new(), Vec::new());
-        for case in &cases {
-            let pk = PreparedKernel::new(&case.func);
-            let bk = BytecodeKernel::from_prepared(&pk);
-            let stats = run_prepared(case, &pk);
+        // Smoke mode: one untimed cross-check per engine, then ratios for
+        // the perf gate from the interleaved min-of-rounds estimator: each
+        // round times the three engines back to back on every case, and
+        // each engine's estimate is its minimum over rounds (noise only
+        // ever adds time).
+        let prepared: Vec<(PreparedKernel, BytecodeKernel)> = cases
+            .iter()
+            .map(|case| {
+                let pk = PreparedKernel::new(&case.func);
+                let bk = BytecodeKernel::from_prepared(&pk);
+                (pk, bk)
+            })
+            .collect();
+        for (case, (pk, bk)) in cases.iter().zip(&prepared) {
+            let stats = run_prepared(case, pk);
             assert_eq!(
                 stats,
                 run_reference(case),
@@ -108,28 +123,53 @@ fn bench(c: &mut Criterion) {
             );
             assert_eq!(
                 stats,
-                run_bytecode(case, &bk),
+                run_bytecode(case, bk),
                 "{}: bytecode vs decoded disagree",
                 case.name
             );
-            let t_bc = time_per_call_budget(0.03, || {
-                run_bytecode(case, &bk);
-            });
-            let t_dec = time_per_call_budget(0.03, || {
-                run_prepared(case, &pk);
-            });
-            let t_ref = time_per_call_budget(0.03, || {
-                run_reference(case);
-            });
+        }
+        let n = cases.len();
+        let (mut t_bc, mut t_dec, mut t_ref) =
+            (vec![f64::MAX; n], vec![f64::MAX; n], vec![f64::MAX; n]);
+        // Per-round geomeans, whose spread shows what one round alone
+        // would have reported.
+        let mut round_gm: Vec<f64> = Vec::new();
+        for _ in 0..SMOKE_ROUNDS {
+            let mut ratios = Vec::with_capacity(n);
+            for (i, (case, (pk, bk))) in cases.iter().zip(&prepared).enumerate() {
+                let bc = time_per_call(|| {
+                    run_bytecode(case, bk);
+                });
+                let dec = time_per_call(|| {
+                    run_prepared(case, pk);
+                });
+                let rf = time_per_call(|| {
+                    run_reference(case);
+                });
+                t_bc[i] = t_bc[i].min(bc);
+                t_dec[i] = t_dec[i].min(dec);
+                t_ref[i] = t_ref[i].min(rf);
+                ratios.push(rf / bc);
+            }
+            round_gm.push(geomean(ratios));
+        }
+        let (mut bc_vs_ref, mut bc_vs_dec) = (Vec::new(), Vec::new());
+        for (i, case) in cases.iter().enumerate() {
             println!(
                 "interp_throughput smoke: {:<10} bytecode {:.2}x reference, {:.2}x decoded",
                 case.name,
-                t_ref / t_bc,
-                t_dec / t_bc
+                t_ref[i] / t_bc[i],
+                t_dec[i] / t_bc[i]
             );
-            bc_vs_ref.push(t_ref / t_bc);
-            bc_vs_dec.push(t_dec / t_bc);
+            bc_vs_ref.push(t_ref[i] / t_bc[i]);
+            bc_vs_dec.push(t_dec[i] / t_bc[i]);
         }
+        let lo = round_gm.iter().copied().fold(f64::MAX, f64::min);
+        let hi = round_gm.iter().copied().fold(0.0, f64::max);
+        println!(
+            "interp_throughput smoke: per-round bytecode-vs-reference geomeans {lo:.2}..{hi:.2} over {SMOKE_ROUNDS} rounds (spread {:.1}%)",
+            (hi / lo - 1.0) * 100.0
+        );
         let gm_ref = geomean(bc_vs_ref.iter().copied());
         let gm_dec = geomean(bc_vs_dec.iter().copied());
         println!("interp_throughput: smoke mode — all three engines agree on all fig9 cases");
@@ -155,15 +195,15 @@ fn bench(c: &mut Criterion) {
         let stats = run_prepared(case, &pk);
         let insts = stats.thread_instructions as f64;
         let bc = insts
-            / time_per_call(|| {
+            / time_per_call_full(|| {
                 run_bytecode(case, &bk);
             });
         let dec = insts
-            / time_per_call(|| {
+            / time_per_call_full(|| {
                 run_prepared(case, &pk);
             });
         let refc = insts
-            / time_per_call(|| {
+            / time_per_call_full(|| {
                 run_reference(case);
             });
         println!(

@@ -447,13 +447,35 @@ impl Function {
     /// Appends a new empty block. Names are uniquified (a `.N` suffix is
     /// added on collision) so the textual form stays parseable.
     pub fn add_block(&mut self, name: &str) -> BlockId {
-        let taken = |blocks: &[BlockData2], n: &str| blocks.iter().any(|b| b.alive && b.name == n);
-        let mut unique = name.to_string();
-        let mut k = 1;
-        while taken(&self.blocks, &unique) {
-            unique = format!("{name}.{k}");
-            k += 1;
+        // One scan finds whether `name` is taken and which `name.K`
+        // suffixes are; the result is `name`, else `name.K` for the
+        // smallest free `K ≥ 1`.
+        let mut taken = false;
+        let mut suffixes: Vec<usize> = Vec::new();
+        for b in self.blocks.iter().filter(|b| b.alive) {
+            let Some(rest) = b.name.strip_prefix(name) else {
+                continue;
+            };
+            if rest.is_empty() {
+                taken = true;
+            } else if let Some(k) = rest.strip_prefix('.').and_then(canonical_suffix) {
+                suffixes.push(k);
+            }
         }
+        let unique = if taken {
+            suffixes.sort_unstable();
+            let mut k = 1;
+            for &used in &suffixes {
+                if used == k {
+                    k += 1;
+                } else if used > k {
+                    break;
+                }
+            }
+            format!("{name}.{k}")
+        } else {
+            name.to_string()
+        };
         let id = BlockId::new(self.blocks.len());
         self.blocks.push(BlockData2 {
             name: unique,
@@ -536,11 +558,18 @@ impl Function {
 
     /// The φ-nodes at the top of a block.
     pub fn phis_of(&self, b: BlockId) -> Vec<InstId> {
-        self.insts_of(b)
+        self.phi_slice(b).to_vec()
+    }
+
+    /// The φ-nodes at the top of a block as a borrowed slice — the
+    /// allocation-free sibling of [`Function::phis_of`].
+    pub fn phi_slice(&self, b: BlockId) -> &[InstId] {
+        let insts = self.insts_of(b);
+        let n = insts
             .iter()
-            .copied()
-            .take_while(|&i| self.inst(i).opcode.is_phi())
-            .collect()
+            .take_while(|&&i| self.inst(i).opcode.is_phi())
+            .count();
+        &insts[..n]
     }
 
     /// The block's terminator, if it has one.
@@ -734,6 +763,63 @@ impl Function {
         }
     }
 
+    /// Replaces uses of several instruction definitions in one sweep over
+    /// the arena: the operands and the journaled touched sets (rewritten
+    /// users, their blocks, and each definition some use was rewritten
+    /// away from) are exactly those of calling [`Function::rauw`] once per
+    /// pair, in order. In particular a replacement value that is itself a
+    /// later pair's definition is rewritten again by that pair.
+    pub fn rauw_many(&mut self, map: &[(InstId, Value)]) {
+        const END: u32 = u32::MAX;
+        if map.is_empty() {
+            return;
+        }
+        // `first[d]` is the first pair keyed by definition `d`, `next[i]`
+        // the next pair after `i` with the same key.
+        let mut first = vec![END; self.insts.len()];
+        let mut next = vec![END; map.len()];
+        for (i, &(from, _)) in map.iter().enumerate().rev() {
+            next[i] = first[from.index()];
+            first[from.index()] = u32::try_from(i).expect("fewer than u32::MAX pairs");
+        }
+        let mut reached = vec![false; map.len()];
+        for idx in 0..self.insts.len() {
+            if self.dead_insts[idx] {
+                continue;
+            }
+            let mut hit = false;
+            for op in &mut self.insts[idx].operands {
+                // Replay the pairs in order: the operand moves to the value
+                // of the first pair, at or after `step`, keyed by what it
+                // currently holds.
+                let mut step = 0;
+                while let Value::Inst(d) = *op {
+                    let mut i = first.get(d.index()).copied().unwrap_or(END);
+                    while i != END && i < step {
+                        i = next[i as usize];
+                    }
+                    if i == END {
+                        break;
+                    }
+                    *op = map[i as usize].1;
+                    reached[i as usize] = true;
+                    hit = true;
+                    step = i + 1;
+                }
+            }
+            if hit {
+                let block = self.insts[idx].block;
+                self.record(DirtyEvent::Inst(InstId::new(idx)));
+                self.record(DirtyEvent::Block(block));
+            }
+        }
+        for (&(from, _), &r) in map.iter().zip(&reached) {
+            if r {
+                self.record(DirtyEvent::Inst(from));
+            }
+        }
+    }
+
     /// Calls `f` with every live instruction that uses `v` as an operand.
     pub fn users_of(&self, v: Value) -> Vec<InstId> {
         let mut users = Vec::new();
@@ -830,10 +916,20 @@ impl Function {
     ///
     /// Returns the first [`IrError`] found.
     pub fn verify_structure(&self) -> Result<(), IrError> {
-        let preds = self.compute_preds();
-        for b in self.block_ids() {
-            let name = self.block_name(b).to_string();
-            let insts = self.insts_of(b);
+        // Predecessor rows (CSR: one entry per edge, any live source),
+        // built at the first block that has φs; `incoming` holds the
+        // sorted incoming list of the φ being checked, `actual` the sorted,
+        // deduplicated predecessors of the current block.
+        let mut preds: Option<(Vec<usize>, Vec<usize>)> = None;
+        let mut actual: Vec<usize> = Vec::new();
+        let mut incoming: Vec<usize> = Vec::new();
+        for (bi, block) in self.blocks.iter().enumerate() {
+            if !block.alive {
+                continue;
+            }
+            let b = BlockId::new(bi);
+            let name = block.name.as_str();
+            let insts = block.insts.as_slice();
             let Some(&last) = insts.last() else {
                 return Err(IrError::BadTerminator(format!("block {name} is empty")));
             };
@@ -843,6 +939,7 @@ impl Function {
                 )));
             }
             let mut seen_non_phi = false;
+            let mut actual_ready = false;
             for (k, &id) in insts.iter().enumerate() {
                 if !self.is_inst_alive(id) {
                     return Err(IrError::DanglingRef(format!(
@@ -872,35 +969,64 @@ impl Function {
                 } else {
                     seen_non_phi = true;
                 }
-                self.verify_inst(id, &name)?;
-                if inst.opcode.is_phi() {
-                    let mut incoming: Vec<usize> =
-                        inst.phi_blocks.iter().map(|p| p.index()).collect();
-                    incoming.sort_unstable();
-                    let mut actual: Vec<usize> =
-                        preds[b.index()].iter().map(|p| p.index()).collect();
+                self.verify_inst(id, name)?;
+                if !inst.opcode.is_phi() {
+                    continue;
+                }
+                if !actual_ready {
+                    let (off, rows) = preds.get_or_insert_with(|| self.pred_rows());
+                    actual.clear();
+                    actual.extend_from_slice(&rows[off[bi]..off[bi + 1]]);
                     actual.sort_unstable();
                     actual.dedup();
-                    let mut inc_dedup = incoming.clone();
-                    inc_dedup.dedup();
-                    if inc_dedup != incoming {
-                        return Err(IrError::PhiPredMismatch(format!(
-                            "%{} in {name} has duplicate incoming blocks",
-                            id.index()
-                        )));
-                    }
-                    if incoming != actual {
-                        return Err(IrError::PhiPredMismatch(format!(
-                            "%{} in {name}: incoming {:?} vs preds {:?}",
-                            id.index(),
-                            incoming,
-                            actual
-                        )));
-                    }
+                    actual_ready = true;
+                }
+                incoming.clear();
+                incoming.extend(inst.phi_blocks.iter().map(|p| p.index()));
+                incoming.sort_unstable();
+                if incoming.windows(2).any(|w| w[0] == w[1]) {
+                    return Err(IrError::PhiPredMismatch(format!(
+                        "%{} in {name} has duplicate incoming blocks",
+                        id.index()
+                    )));
+                }
+                if incoming != actual {
+                    return Err(IrError::PhiPredMismatch(format!(
+                        "%{} in {name}: incoming {:?} vs preds {:?}",
+                        id.index(),
+                        incoming,
+                        actual
+                    )));
                 }
             }
         }
         Ok(())
+    }
+
+    /// Predecessor block indices of every block in CSR form
+    /// (`rows[off[b]..off[b + 1]]`), one entry per edge from a live block,
+    /// sources in arena order — [`Function::compute_preds`] in three
+    /// allocations.
+    fn pred_rows(&self) -> (Vec<usize>, Vec<usize>) {
+        let cap = self.blocks.len();
+        let mut off = vec![0usize; cap + 1];
+        for b in 0..cap {
+            for s in self.succ_slice(BlockId::new(b)) {
+                off[s.index() + 1] += 1;
+            }
+        }
+        for i in 0..cap {
+            off[i + 1] += off[i];
+        }
+        let mut rows = vec![0usize; off[cap]];
+        let mut fill = off.clone();
+        for b in 0..cap {
+            for s in self.succ_slice(BlockId::new(b)) {
+                rows[fill[s.index()]] = b;
+                fill[s.index()] += 1;
+            }
+        }
+        (off, rows)
     }
 
     fn verify_inst(&self, id: InstId, block_name: &str) -> Result<(), IrError> {
@@ -936,26 +1062,34 @@ impl Function {
                 )));
             }
         }
-        let tys: Vec<Type> = inst.operands.iter().map(|&v| self.value_ty(v)).collect();
+        // Operand types: every non-φ opcode checks `n` against at most 3
+        // before it indexes, so a stack buffer of the first three serves
+        // the checks; the full list is collected only for a message.
         let n = inst.operands.len();
+        let mut tys = [Type::Void; 3];
+        for (t, &v) in tys.iter_mut().zip(&inst.operands) {
+            *t = self.value_ty(v);
+        }
+        let all_tys = || -> Vec<Type> { inst.operands.iter().map(|&v| self.value_ty(v)).collect() };
         use Opcode::*;
         match inst.opcode {
             Add | Sub | Mul | SDiv | SRem | UDiv | URem | And | Or | Xor | Shl | LShr | AShr => {
                 if n != 2 || tys[0] != tys[1] || !tys[0].is_int() || inst.ty != tys[0] {
                     return err(format!(
-                        "expected (T, T) -> T int, got {tys:?} -> {}",
+                        "expected (T, T) -> T int, got {:?} -> {}",
+                        all_tys(),
                         inst.ty
                     ));
                 }
             }
             FAdd | FSub | FMul | FDiv => {
                 if n != 2 || tys[0] != Type::F32 || tys[1] != Type::F32 || inst.ty != Type::F32 {
-                    return err(format!("expected (f32, f32) -> f32, got {tys:?}"));
+                    return err(format!("expected (f32, f32) -> f32, got {:?}", all_tys()));
                 }
             }
             FSqrt | FAbs | FNeg | FExp => {
                 if n != 1 || tys[0] != Type::F32 || inst.ty != Type::F32 {
-                    return err(format!("expected (f32) -> f32, got {tys:?}"));
+                    return err(format!("expected (f32) -> f32, got {:?}", all_tys()));
                 }
             }
             Icmp(_) => {
@@ -964,17 +1098,17 @@ impl Function {
                     || !(tys[0].is_int() || tys[0].is_ptr())
                     || inst.ty != Type::I1
                 {
-                    return err(format!("expected (int, int) -> i1, got {tys:?}"));
+                    return err(format!("expected (int, int) -> i1, got {:?}", all_tys()));
                 }
             }
             Fcmp(_) => {
                 if n != 2 || tys[0] != Type::F32 || tys[1] != Type::F32 || inst.ty != Type::I1 {
-                    return err(format!("expected (f32, f32) -> i1, got {tys:?}"));
+                    return err(format!("expected (f32, f32) -> i1, got {:?}", all_tys()));
                 }
             }
             Select => {
                 if n != 3 || tys[0] != Type::I1 || tys[1] != tys[2] || inst.ty != tys[1] {
-                    return err(format!("expected (i1, T, T) -> T, got {tys:?}"));
+                    return err(format!("expected (i1, T, T) -> T, got {:?}", all_tys()));
                 }
             }
             Zext | Sext => {
@@ -983,7 +1117,7 @@ impl Function {
                     || !inst.ty.is_int()
                     || tys[0].size_bytes() > inst.ty.size_bytes()
                 {
-                    return err(format!("bad extension {tys:?} -> {}", inst.ty));
+                    return err(format!("bad extension {:?} -> {}", all_tys(), inst.ty));
                 }
             }
             Trunc => {
@@ -992,32 +1126,36 @@ impl Function {
                     || !inst.ty.is_int()
                     || tys[0].size_bytes() < inst.ty.size_bytes()
                 {
-                    return err(format!("bad truncation {tys:?} -> {}", inst.ty));
+                    return err(format!("bad truncation {:?} -> {}", all_tys(), inst.ty));
                 }
             }
             SiToFp => {
                 if n != 1 || !tys[0].is_int() || inst.ty != Type::F32 {
-                    return err(format!("bad sitofp {tys:?}"));
+                    return err(format!("bad sitofp {:?}", all_tys()));
                 }
             }
             FpToSi => {
                 if n != 1 || tys[0] != Type::F32 || !inst.ty.is_int() {
-                    return err(format!("bad fptosi {tys:?}"));
+                    return err(format!("bad fptosi {:?}", all_tys()));
                 }
             }
             Load => {
                 if n != 1 || !tys[0].is_ptr() || inst.ty == Type::Void {
-                    return err(format!("expected (ptr) -> T, got {tys:?} -> {}", inst.ty));
+                    return err(format!(
+                        "expected (ptr) -> T, got {:?} -> {}",
+                        all_tys(),
+                        inst.ty
+                    ));
                 }
             }
             Store => {
                 if n != 2 || !tys[1].is_ptr() || inst.ty != Type::Void {
-                    return err(format!("expected (T, ptr) -> void, got {tys:?}"));
+                    return err(format!("expected (T, ptr) -> void, got {:?}", all_tys()));
                 }
             }
             Gep { .. } => {
                 if n != 2 || !tys[0].is_ptr() || !tys[1].is_int() || inst.ty != tys[0] {
-                    return err(format!("expected (ptr, int) -> ptr, got {tys:?}"));
+                    return err(format!("expected (ptr, int) -> ptr, got {:?}", all_tys()));
                 }
             }
             ThreadIdx(_) | BlockIdx(_) | BlockDim(_) | GridDim(_) => {
@@ -1040,14 +1178,15 @@ impl Function {
             }
             Ballot => {
                 if n != 1 || tys[0] != Type::I1 || inst.ty != Type::I64 {
-                    return err(format!("expected (i1) -> i64, got {tys:?}"));
+                    return err(format!("expected (i1) -> i64, got {:?}", all_tys()));
                 }
             }
             Phi => {
                 if inst.phi_blocks.len() != n {
                     return err("phi incoming blocks and values differ in length".into());
                 }
-                for &ty in &tys {
+                for &v in &inst.operands {
+                    let ty = self.value_ty(v);
                     if ty != inst.ty {
                         return err(format!("phi incoming type {ty} != {}", inst.ty));
                     }
@@ -1055,7 +1194,10 @@ impl Function {
             }
             Br => {
                 if n != 1 || tys[0] != Type::I1 || inst.succs.len() != 2 {
-                    return err(format!("expected br (i1) with 2 successors, got {tys:?}"));
+                    return err(format!(
+                        "expected br (i1) with 2 successors, got {:?}",
+                        all_tys()
+                    ));
                 }
             }
             Jump => {
@@ -1094,6 +1236,15 @@ impl Function {
             })
             .count()
     }
+}
+
+/// `K` if `s` is the decimal `K ≥ 1` exactly as `format!("{K}")` prints
+/// it (no sign, no leading zero).
+fn canonical_suffix(s: &str) -> Option<usize> {
+    if s.starts_with('0') || !s.bytes().all(|c| c.is_ascii_digit()) {
+        return None;
+    }
+    s.parse().ok()
 }
 
 #[cfg(test)]

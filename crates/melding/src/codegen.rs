@@ -113,7 +113,9 @@ pub fn meld_region(
             let m = block_map[&bt];
             // φs are copied, never melded (§IV-D "Melding φ Nodes").
             for (side_block, origin) in [(bt, Origin::TrueSide), (bf, Origin::FalseSide)] {
-                for phi in func.phis_of(side_block) {
+                // Cloning into `m` leaves `side_block`'s φ list in place.
+                for k in 0..func.phi_slice(side_block).len() {
+                    let phi = func.phi_slice(side_block)[k];
                     let data = func.inst(phi).clone();
                     let new_id = func.add_inst(m, data);
                     operand_map.insert(phi, Value::Inst(new_id));
@@ -325,7 +327,9 @@ pub fn meld_region(
     // old entries from *all* φs of the block at once, so the reads must not
     // be interleaved with the removal.
     let mut merged_entries: Vec<(InstId, Value)> = Vec::new();
-    for phi in func.phis_of(region.exit) {
+    // Selects go into `cursor`, never `region.exit`, so its φ list holds.
+    for k in 0..func.phi_slice(region.exit).len() {
+        let phi = func.phi_slice(region.exit)[k];
         let vt = func.inst(phi).phi_value_for(t_exit);
         let vf = func.inst(phi).phi_value_for(f_exit);
         let (Some(vt), Some(vf)) = (vt, vf) else {
@@ -367,11 +371,10 @@ pub fn meld_region(
     let _ = (new_t_exit, new_f_exit);
 
     // ---- Phase F: global use rewrite and cleanup ----
-    let keys: Vec<InstId> = operand_map.keys().copied().collect();
-    for orig in keys {
-        let to = operand_map[&orig];
-        func.rauw(Value::Inst(orig), to);
-    }
+    // Every replacement is a fresh clone, never another key, so the pairs'
+    // order does not matter.
+    let rewrites: Vec<(InstId, Value)> = operand_map.into_iter().collect();
+    func.rauw_many(&rewrites);
     for el in plan {
         if let PlanElement::Meld { st, sf, .. } = el {
             stats.melded_subgraphs += 1;

@@ -60,16 +60,17 @@ pub fn unpredicate_block(
             InstData::terminator(Opcode::Br, vec![cond], vec![s_true, s_false]),
         );
         // Def-use repair: values defined in the run but used later flow
-        // through a φ with undef on the skipping arm.
-        for &d in &run.insts {
+        // through a φ with undef on the skipping arm. One sweep finds
+        // every (run def, outside user) pair; rewriting one def's users
+        // never changes another's, so the pairs stay exact throughout.
+        let uses = outside_uses(func, &run.insts);
+        for (k, &d) in run.insts.iter().enumerate() {
             if func.inst(d).ty == Type::Void {
                 continue;
             }
-            let users: Vec<InstId> = func
-                .users_of(Value::Inst(d))
-                .into_iter()
-                .filter(|u| !run.insts.contains(u))
-                .collect();
+            let lo = uses.partition_point(|&(j, _)| j < k);
+            let hi = uses.partition_point(|&(j, _)| j <= k);
+            let users = &uses[lo..hi];
             if users.is_empty() {
                 continue;
             }
@@ -79,10 +80,7 @@ pub fn unpredicate_block(
                 0,
                 InstData::phi(ty, &[(run_block, Value::Inst(d)), (cur, Value::Undef(ty))]),
             );
-            for u in users {
-                if u == phi {
-                    continue;
-                }
+            for &(_, u) in users {
                 let inst = func.inst_mut(u);
                 for op in &mut inst.operands {
                     if *op == Value::Inst(d) {
@@ -95,6 +93,32 @@ pub fn unpredicate_block(
         count += 1;
     }
     count
+}
+
+/// `(k, u)` for every live instruction `u` outside `run` that uses
+/// `run[k]`, sorted by `k` and then arena order, each pair once — what
+/// [`Function::users_of`] per run instruction would give, in one sweep.
+fn outside_uses(func: &Function, run: &[InstId]) -> Vec<(usize, InstId)> {
+    let mut slot = vec![usize::MAX; func.inst_capacity()];
+    for (k, &d) in run.iter().enumerate() {
+        slot[d.index()] = k;
+    }
+    let mut uses = Vec::new();
+    for u in (0..func.inst_capacity()).map(InstId::new) {
+        if !func.is_inst_alive(u) || slot[u.index()] != usize::MAX {
+            continue;
+        }
+        for &op in &func.inst(u).operands {
+            if let Value::Inst(d) = op {
+                if slot[d.index()] != usize::MAX {
+                    uses.push((slot[d.index()], u));
+                }
+            }
+        }
+    }
+    uses.sort_unstable();
+    uses.dedup();
+    uses
 }
 
 /// The predicated alternative used when unpredication is disabled

@@ -10,7 +10,7 @@
 //! to whole-function rounds.
 
 use darm_analysis::{AnalysisManager, Cfg};
-use darm_ir::{BlockId, Function, InstData, JournalCursor, Opcode, Value};
+use darm_ir::{BlockId, Function, InstData, InstId, JournalCursor, Opcode, Value};
 
 /// Statistics of one [`simplify_cfg`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -177,7 +177,7 @@ impl ScopeState {
             if !func.is_block_alive(b) {
                 continue;
             }
-            for &s in func.succs(b).iter() {
+            for &s in func.succ_slice(b) {
                 self.candidates[s.index()] = true;
             }
             if cfg.is_reachable(b) {
@@ -230,7 +230,10 @@ fn fold_branches(
 ) -> bool {
     scope.refresh(func, am);
     let mut changed = false;
-    for b in func.block_ids() {
+    for b in (0..func.block_capacity()).map(BlockId::new) {
+        if !func.is_block_alive(b) {
+            continue;
+        }
         if !scope.allows(b) {
             continue;
         }
@@ -278,7 +281,10 @@ fn remove_trivial_phis(
     loop {
         scope.refresh(func, am);
         let mut local = false;
-        for b in func.block_ids() {
+        for b in (0..func.block_capacity()).map(BlockId::new) {
+            if !func.is_block_alive(b) {
+                continue;
+            }
             if !scope.allows(b) {
                 continue;
             }
@@ -329,7 +335,10 @@ fn dedup_phis(
 ) -> bool {
     scope.refresh(func, am);
     let mut changed = false;
-    for b in func.block_ids() {
+    for b in (0..func.block_capacity()).map(BlockId::new) {
+        if !func.is_block_alive(b) {
+            continue;
+        }
         if !scope.allows(b) {
             continue;
         }
@@ -381,7 +390,10 @@ fn merge_straightline(
     loop {
         scope.refresh(func, am);
         let mut merged = false;
-        for b in func.block_ids() {
+        for b in (0..func.block_capacity()).map(BlockId::new) {
+            if !func.is_block_alive(b) {
+                continue;
+            }
             if b == func.entry() {
                 continue;
             }
@@ -398,7 +410,7 @@ fn merge_straightline(
             if !scope.allows(b) && !scope.allows(p) {
                 continue;
             }
-            if !func.is_block_alive(p) || func.succs(p).len() != 1 {
+            if !func.is_block_alive(p) || func.succ_slice(p).len() != 1 {
                 continue;
             }
             let Some(pt) = func.terminator(p) else {
@@ -414,21 +426,22 @@ fn merge_straightline(
                     .map(|i| cfg.preds(BlockId::new(i)).to_vec())
                     .collect()
             });
-            // Single-incoming φs in `b` fold to their value.
+            // Single-incoming φs in `b` fold to their value, and b's
+            // instructions move into p; every use follows in one sweep.
+            let mut rewrites: Vec<(InstId, Value)> = Vec::new();
             for phi in func.phis_of(b) {
-                let v = func.inst(phi).operands[0];
-                func.rauw(Value::Inst(phi), v);
+                rewrites.push((phi, func.inst(phi).operands[0]));
                 func.remove_inst(phi);
             }
-            // Move b's instructions into p.
             func.remove_inst(pt);
             let insts = func.insts_of(b).to_vec();
             for id in insts {
                 let data = func.inst(id).clone();
                 func.remove_inst(id);
                 let new_id = func.add_inst(p, data);
-                func.rauw(Value::Inst(id), Value::Inst(new_id));
+                rewrites.push((id, Value::Inst(new_id)));
             }
+            func.rauw_many(&rewrites);
             for s in func.succs(p) {
                 func.phi_retarget_pred(s, b, p);
                 for e in &mut preds[s.index()] {
@@ -474,7 +487,10 @@ fn elide_empty_blocks(
     loop {
         scope.refresh(func, am);
         let mut elided = false;
-        'outer: for b in func.block_ids() {
+        'outer: for b in (0..func.block_capacity()).map(BlockId::new) {
+            if !func.is_block_alive(b) {
+                continue;
+            }
             if b == func.entry() {
                 continue;
             }
@@ -507,7 +523,7 @@ fn elide_empty_blocks(
             let mut unique_preds = preds.clone();
             unique_preds.sort();
             unique_preds.dedup();
-            for phi in func.phis_of(target) {
+            for &phi in func.phi_slice(target) {
                 let inst = func.inst(phi);
                 let Some(v_b) = inst.phi_value_for(b) else {
                     continue 'outer;

@@ -8,7 +8,7 @@
 //! frontier and rewrite uses to the nearest reaching definition, with
 //! `undef` on paths that never execute the definition.
 
-use darm_analysis::{AnalysisManager, Cfg, DomTree};
+use darm_analysis::{first_undominated_use, AnalysisManager, Cfg, DomTree, UndominatedUse};
 use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Value};
 use std::collections::HashMap;
 
@@ -35,7 +35,7 @@ pub fn repair_ssa_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
     loop {
         let cfg = am.get::<Cfg>(func);
         let dt = am.get::<DomTree>(func);
-        let Some(def) = find_broken_def(func, &cfg, &dt) else {
+        let Some(UndominatedUse { def, .. }) = first_undominated_use(func, &cfg, &dt) else {
             break;
         };
         let df = frontiers.get_or_insert_with(|| dt.dominance_frontiers(&cfg));
@@ -44,47 +44,6 @@ pub fn repair_ssa_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
         repaired += 1;
     }
     repaired
-}
-
-/// Finds one definition with a non-dominated use, if any.
-fn find_broken_def(func: &Function, cfg: &Cfg, dt: &DomTree) -> Option<InstId> {
-    // Block-local instruction positions, for same-block def-use ordering.
-    let mut pos = vec![usize::MAX; func.inst_capacity()];
-    for &b in cfg.rpo() {
-        for (k, &id) in func.insts_of(b).iter().enumerate() {
-            pos[id.index()] = k;
-        }
-    }
-    for &b in cfg.rpo() {
-        for &id in func.insts_of(b) {
-            let inst = func.inst(id);
-            if inst.opcode == Opcode::Phi {
-                for (pred, val) in inst.phi_incoming() {
-                    let Value::Inst(def) = val else { continue };
-                    if !cfg.is_reachable(pred) {
-                        continue;
-                    }
-                    if !dt.dominates(func.inst(def).block, pred) {
-                        return Some(def);
-                    }
-                }
-            } else {
-                for &op in &inst.operands {
-                    let Value::Inst(def) = op else { continue };
-                    let db = func.inst(def).block;
-                    let ok = if db == b {
-                        pos[def.index()] < pos[id.index()]
-                    } else {
-                        dt.dominates(db, b)
-                    };
-                    if !ok {
-                        return Some(def);
-                    }
-                }
-            }
-        }
-    }
-    None
 }
 
 /// Rebuilds SSA form for one definition by φ placement at the IDF of its
