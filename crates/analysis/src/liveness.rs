@@ -143,8 +143,8 @@ impl Liveness {
         Liveness::with_cfg(func, &Cfg::new(func))
     }
 
-    /// [`Liveness::new`] against a caller-provided CFG snapshot (e.g. from
-    /// an [`AnalysisManager`](crate::manager::AnalysisManager)).
+    /// [`Liveness::new`] against a caller-provided CFG snapshot (e.g. the
+    /// one [`max_pressure`] walks).
     pub fn with_cfg(func: &Function, cfg: &Cfg) -> Liveness {
         let n = func.block_capacity();
         let empty = InstSet::with_capacity(func.inst_capacity());

@@ -11,25 +11,22 @@
 //!
 //! # The read rule
 //!
-//! Every cache slot remembers the `darm-ir` journal cursor of the function
-//! state it was computed for. A query ([`AnalysisManager::get`]) classifies
-//! the window since that cursor in O(1) and applies one rule:
+//! Every cache slot remembers the [`Stamp`] of the function state it was
+//! computed for. A query ([`AnalysisManager::get`]) compares it with the
+//! function's current stamp and applies one rule:
 //!
-//! * a clean window serves the entry as a cache hit;
-//! * an instruction-only window keeps the shape-only analyses ([`Cfg`],
-//!   [`DomTree`], [`PostDomTree`], [`LoopInfo`]) as hits and restamps them;
-//! * anything else — a block-graph change, a saturated journal, or an
-//!   instruction-sensitive entry ([`DivergenceAnalysis`], [`Liveness`])
-//!   under any change — drops the entry, which recomputes.
+//! * an equal stamp serves the entry as a cache hit;
+//! * the same instance at the same `shape_gen` keeps the shape-only
+//!   analyses ([`Cfg`], [`DomTree`], [`PostDomTree`]) as hits and
+//!   restamps them;
+//! * anything else — another instance (a clone, a restored snapshot), an
+//!   edit to blocks or edges, or an instruction-sensitive entry
+//!   ([`DivergenceAnalysis`]) after any edit — recomputes.
 //!
-//! For every mutation made through the journaled `Function` API the rule
-//! makes a stale read impossible, whatever a pass reports. The pass
-//! reports still matter for cost: a pass's [`PreservedAnalyses`]
-//! summary, applied via [`AnalysisManager::retain`], and the explicit
+//! Every `Function` mutation API moves the stamp, so the rule makes a
+//! stale read impossible without any report from the passes. The explicit
 //! [`AnalysisManager::invalidate_all`]/[`AnalysisManager::invalidate_values`]
-//! calls drop entries early; a report never overrides the journal (an
-//! entry kept by report but changed under the journal still recomputes at
-//! its next read).
+//! calls only drop entries early.
 //!
 //! [`AnalysisManager::counters`] exposes how many computations and cache
 //! hits occurred — `darm meld --time-passes` prints the per-pass split.
@@ -37,14 +34,12 @@
 use crate::cfg::Cfg;
 use crate::divergence::DivergenceAnalysis;
 use crate::dom::{DomTree, PostDomTree};
-use crate::liveness::Liveness;
-use crate::loops::LoopInfo;
-use darm_ir::{Function, JournalCursor, WindowProbe};
+use darm_ir::{Function, Stamp};
 use std::any::Any;
 use std::sync::Arc;
 
 /// Number of cache slots — one per registered [`Analysis`] impl.
-const SLOT_COUNT: usize = 6;
+const SLOT_COUNT: usize = 4;
 
 /// A cacheable analysis over a [`Function`].
 ///
@@ -105,22 +100,10 @@ impl Analysis for PostDomTree {
     }
 }
 
-impl Analysis for LoopInfo {
-    const NAME: &'static str = "loops";
-    const SHAPE_ONLY: bool = true;
-    const SLOT: usize = 3;
-
-    fn compute(func: &Function, am: &mut AnalysisManager) -> LoopInfo {
-        let cfg = am.get::<Cfg>(func);
-        let dt = am.get::<DomTree>(func);
-        LoopInfo::new(&cfg, &dt)
-    }
-}
-
 impl Analysis for DivergenceAnalysis {
     const NAME: &'static str = "divergence";
     const SHAPE_ONLY: bool = false;
-    const SLOT: usize = 4;
+    const SLOT: usize = 3;
 
     fn compute(func: &Function, am: &mut AnalysisManager) -> DivergenceAnalysis {
         let cfg = am.get::<Cfg>(func);
@@ -132,74 +115,16 @@ impl Analysis for DivergenceAnalysis {
     }
 }
 
-impl Analysis for Liveness {
-    const NAME: &'static str = "liveness";
-    const SHAPE_ONLY: bool = false;
-    const SLOT: usize = 5;
-
-    fn compute(func: &Function, am: &mut AnalysisManager) -> Liveness {
-        let cfg = am.get::<Cfg>(func);
-        Liveness::with_cfg(func, &cfg)
-    }
-}
-
-/// What a transform pass left intact, reported to the pass manager.
-///
-/// Construct with [`PreservedAnalyses::all`] (nothing changed),
-/// [`PreservedAnalyses::none`] (CFG shape changed) or
-/// [`PreservedAnalyses::cfg_shape`] (instructions changed, block graph
-/// intact).
-#[derive(Debug, Clone, Default)]
-pub struct PreservedAnalyses {
-    all: bool,
-    shape: bool,
-}
-
-impl PreservedAnalyses {
-    /// The pass changed nothing analyses care about: keep everything.
-    pub fn all() -> PreservedAnalyses {
-        PreservedAnalyses {
-            all: true,
-            shape: true,
-        }
-    }
-
-    /// The pass changed the block graph: keep nothing.
-    pub fn none() -> PreservedAnalyses {
-        PreservedAnalyses::default()
-    }
-
-    /// The pass changed instructions but not the block graph: keep the
-    /// shape-only analyses (CFG, dominators, post-dominators, loops).
-    pub fn cfg_shape() -> PreservedAnalyses {
-        PreservedAnalyses {
-            all: false,
-            shape: true,
-        }
-    }
-
-    /// Whether everything is preserved.
-    pub fn preserves_all(&self) -> bool {
-        self.all
-    }
-
-    /// Whether an entry with the given shape-only flag survives this
-    /// report.
-    fn keeps(&self, shape_only: bool) -> bool {
-        self.all || (self.shape && shape_only)
-    }
-}
-
 /// One cache slot: the result plus its shape-only flag and name (captured
-/// at insertion so [`AnalysisManager::retain`] can filter without knowing
-/// the concrete types), and the journal cursor of the function state the
-/// entry is valid for.
+/// at insertion so [`AnalysisManager::invalidate_values`] can filter
+/// without knowing the concrete types), and the stamp of the function
+/// state the entry is valid for.
 #[derive(Clone)]
 struct Slot {
     value: Arc<dyn Any + Send + Sync>,
     shape_only: bool,
     name: &'static str,
-    cursor: JournalCursor,
+    stamp: Stamp,
 }
 
 /// Totals of the manager's bookkeeping, for per-pass attribution in
@@ -269,20 +194,22 @@ impl AnalysisManager {
             value: value.clone(),
             shape_only: A::SHAPE_ONLY,
             name: A::NAME,
-            cursor: func.journal_head(),
+            stamp: func.stamp(),
         });
         value
     }
 
-    /// The read rule: the cached `A` if its journal window is clean, or
-    /// instruction-only and `A` is shape-only (the entry is then restamped
-    /// to the current state); otherwise the entry is dropped.
+    /// The read rule: the cached `A` if its stamp equals the function's,
+    /// or names the same instance at the same `shape_gen` and `A` is
+    /// shape-only (the entry is then restamped); otherwise the entry is
+    /// dropped.
     fn read<A: Analysis>(&mut self, func: &Function) -> Option<Arc<A>> {
         let slot = self.slots[A::SLOT].as_mut()?;
-        match func.probe_since(slot.cursor) {
-            WindowProbe::Clean => {}
-            WindowProbe::InstsOnly if A::SHAPE_ONLY => slot.cursor = func.journal_head(),
-            _ => {
+        let now = func.stamp();
+        if slot.stamp != now {
+            if A::SHAPE_ONLY && slot.stamp.id == now.id && slot.stamp.shape_gen == now.shape_gen {
+                slot.stamp = now;
+            } else {
                 self.slots[A::SLOT] = None;
                 return None;
             }
@@ -296,7 +223,7 @@ impl AnalysisManager {
     }
 
     /// The cached `A`, if present (no computation, not counted as a hit,
-    /// and not checked against the journal).
+    /// and not checked against the stamp).
     pub fn cached<A: Analysis>(&self) -> Option<Arc<A>> {
         self.slots[A::SLOT].as_ref().map(|slot| {
             slot.value
@@ -309,7 +236,7 @@ impl AnalysisManager {
     /// Drops every cached entry — the explicit form of what the read rule
     /// does after block/edge surgery. The computation counters survive, so
     /// after a contained fault (the function rolled back to a snapshot
-    /// under a fresh journal identity) they still report what was spent.
+    /// under a fresh stamp identity) they still report what was spent.
     pub fn invalidate_all(&mut self) {
         self.slots = Default::default();
     }
@@ -320,22 +247,6 @@ impl AnalysisManager {
     pub fn invalidate_values(&mut self) {
         for slot in &mut self.slots {
             if slot.as_ref().is_some_and(|s| !s.shape_only) {
-                *slot = None;
-            }
-        }
-    }
-
-    /// Applies a pass's [`PreservedAnalyses`] report: every cached entry
-    /// not covered by the report is dropped.
-    pub fn retain(&mut self, preserved: &PreservedAnalyses) {
-        if preserved.preserves_all() {
-            return;
-        }
-        for slot in &mut self.slots {
-            if slot
-                .as_ref()
-                .is_some_and(|s| !preserved.keeps(s.shape_only))
-            {
                 *slot = None;
             }
         }
@@ -439,37 +350,21 @@ mod tests {
         assert!(am.cached::<DomTree>().is_some());
     }
 
-    #[test]
-    fn retain_applies_preservation_report() {
-        let f = diamond();
-        let mut am = AnalysisManager::new();
-        am.get::<DivergenceAnalysis>(&f);
-        am.retain(&PreservedAnalyses::all());
-        assert!(am.cached::<DivergenceAnalysis>().is_some());
-        am.retain(&PreservedAnalyses::cfg_shape());
-        assert!(am.cached::<Cfg>().is_some());
-        assert!(am.cached::<DivergenceAnalysis>().is_none());
-        am.retain(&PreservedAnalyses::none());
-        assert!(am.cached::<Cfg>().is_none());
-    }
-
     /// Warms every slot and returns the handles, for the read-rule tests.
     fn warm(f: &Function, am: &mut AnalysisManager) -> (Arc<DomTree>, Arc<DivergenceAnalysis>) {
-        am.get::<LoopInfo>(f);
-        am.get::<Liveness>(f);
         am.get::<PostDomTree>(f);
         (am.get::<DomTree>(f), am.get::<DivergenceAnalysis>(f))
     }
 
     #[test]
-    fn read_rule_clean_window_hits_everything() {
+    fn read_rule_equal_stamp_hits_everything() {
         let f = diamond();
         let mut am = AnalysisManager::new();
         let (dt, div) = warm(&f, &mut am);
         let before = am.counters();
         assert!(Arc::ptr_eq(&dt, &am.get::<DomTree>(&f)));
         assert!(Arc::ptr_eq(&div, &am.get::<DivergenceAnalysis>(&f)));
-        am.get::<Liveness>(&f);
+        am.get::<Cfg>(&f);
         let delta = am.counters().since(&before);
         assert_eq!(
             delta,
@@ -481,35 +376,35 @@ mod tests {
     }
 
     #[test]
-    fn read_rule_insts_only_window_keeps_shape_analyses() {
+    fn read_rule_inst_edit_keeps_shape_analyses() {
         let mut f = diamond();
         let mut am = AnalysisManager::new();
         let (dt, div) = warm(&f, &mut am);
         // Instruction-only mutation: a dead add in `t`.
         let t = f.block_ids()[1];
+        let shape_gen = f.stamp().shape_gen;
         f.insert_inst_at(
             t,
             0,
             InstData::new(Opcode::Add, Type::I32, vec![Value::I32(1), Value::I32(2)]),
         );
+        assert_eq!(f.stamp().shape_gen, shape_gen);
         let before = am.counters();
         for _ in 0..2 {
             // Shape-only entries survive (and are restamped, so the second
-            // round hits without re-probing a non-clean window).
+            // round hits on an equal stamp).
             assert!(Arc::ptr_eq(&dt, &am.get::<DomTree>(&f)));
             am.get::<Cfg>(&f);
             am.get::<PostDomTree>(&f);
-            am.get::<LoopInfo>(&f);
         }
         assert_eq!(am.counters().since(&before).computes, 0);
-        // Instruction-sensitive entries recompute.
+        // The instruction-sensitive entry recomputes.
         assert!(!Arc::ptr_eq(&div, &am.get::<DivergenceAnalysis>(&f)));
-        am.get::<Liveness>(&f);
-        assert_eq!(am.counters().since(&before).computes, 2);
+        assert_eq!(am.counters().since(&before).computes, 1);
     }
 
     #[test]
-    fn read_rule_shape_window_recomputes_everything() {
+    fn read_rule_shape_edit_recomputes_everything() {
         let mut f = diamond();
         let mut am = AnalysisManager::new();
         let (dt, _) = warm(&f, &mut am);
@@ -524,19 +419,43 @@ mod tests {
         assert!(!Arc::ptr_eq(&dt, &fresh));
         assert_eq!(fresh.idom(t), Some(entry));
         am.get::<PostDomTree>(&f);
-        am.get::<LoopInfo>(&f);
         am.get::<DivergenceAnalysis>(&f);
-        am.get::<Liveness>(&f);
-        // cfg + the five analyses above, each exactly once.
-        assert_eq!(am.counters().since(&before).computes, 6);
+        // cfg + the three analyses above, each exactly once.
+        assert_eq!(am.counters().since(&before).computes, 4);
     }
 
     #[test]
-    fn read_rule_saturated_window_recomputes_everything() {
+    fn read_rule_terminator_edit_through_inst_mut_recomputes_everything() {
         let mut f = diamond();
         let mut am = AnalysisManager::new();
         let (dt, _) = warm(&f, &mut am);
-        f.saturate_journal();
+        // Swap the branch targets in place: an edge edit, though no
+        // instruction was added or removed.
+        let term = f.terminator(f.entry()).unwrap();
+        f.inst_mut(term).succs.reverse();
+        let before = am.counters();
         assert!(!Arc::ptr_eq(&dt, &am.get::<DomTree>(&f)));
+        assert_eq!(am.counters().since(&before).computes, 2);
+    }
+
+    #[test]
+    fn read_rule_other_instance_recomputes_everything() {
+        let mut f = diamond();
+        let mut am = AnalysisManager::new();
+        let (dt, div) = warm(&f, &mut am);
+        // A clone is equal IR under another identity.
+        let g = f.clone();
+        let before = am.counters();
+        assert!(!Arc::ptr_eq(&dt, &am.get::<DomTree>(&g)));
+        assert!(!Arc::ptr_eq(&div, &am.get::<DivergenceAnalysis>(&g)));
+        assert_eq!(am.counters().since(&before).computes, 4);
+        // So is the original after a restore, even of its own snapshot.
+        let (dt, div) = warm(&f, &mut am);
+        let snapshot = f.snapshot();
+        f.restore(&snapshot);
+        let before = am.counters();
+        assert!(!Arc::ptr_eq(&dt, &am.get::<DomTree>(&f)));
+        assert!(!Arc::ptr_eq(&div, &am.get::<DivergenceAnalysis>(&f)));
+        assert_eq!(am.counters().since(&before).computes, 4);
     }
 }

@@ -492,29 +492,33 @@ pub fn render_capability_matrix() -> String {
 }
 
 /// Table II: compile-time overhead of the DARM pass, normalized against the
-/// baseline cleanup pipeline (simplify-cfg + DCE, our `-O3` stand-in).
+/// baseline cleanup pipeline (simplify-cfg + DCE, which stands in for the
+/// paper's `-O3`). Each time is the minimum over interleaved rounds of
+/// [`time_per_call`] samples, the estimator the compile-time benches use.
 pub fn render_compile_times() -> String {
-    use std::time::Instant;
+    const ROUNDS: usize = 5;
     let mut out = String::new();
-    out.push_str("## Table II — compile time (ms, average of 10 runs)\n\n");
-    out.push_str("| benchmark | O3 | O3+DARM | normalized |\n|---|---|---|---|\n");
+    out.push_str(&format!(
+        "## Table II — compile time (ms, min of {ROUNDS} interleaved rounds)\n\n"
+    ));
+    out.push_str(
+        "| benchmark | simplify+DCE | simplify+DCE+DARM | normalized |\n|---|---|---|---|\n",
+    );
     for case in counter_cases() {
-        let reps = 10;
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let mut f = case.func.clone();
-            darm_transforms::simplify_cfg(&mut f);
-            darm_transforms::run_dce(&mut f);
+        let (mut base, mut with_darm) = (f64::MAX, f64::MAX);
+        for _ in 0..ROUNDS {
+            base = base.min(time_per_call(|| {
+                let mut f = case.func.clone();
+                darm_transforms::simplify_cfg(&mut f);
+                darm_transforms::run_dce(&mut f);
+            }));
+            with_darm = with_darm.min(time_per_call(|| {
+                let mut f = case.func.clone();
+                darm_transforms::simplify_cfg(&mut f);
+                darm_transforms::run_dce(&mut f);
+                meld_function(&mut f, &MeldConfig::default());
+            }));
         }
-        let base = t0.elapsed().as_secs_f64() / reps as f64;
-        let t1 = Instant::now();
-        for _ in 0..reps {
-            let mut f = case.func.clone();
-            darm_transforms::simplify_cfg(&mut f);
-            darm_transforms::run_dce(&mut f);
-            meld_function(&mut f, &MeldConfig::default());
-        }
-        let with_darm = t1.elapsed().as_secs_f64() / reps as f64;
         out.push_str(&format!(
             "| {} | {:.3} | {:.3} | {:.4} |\n",
             case.name,

@@ -3,7 +3,7 @@
 //! compile-time benchmarks.
 //!
 //! These are the whole-function, round-based scans that the shipped
-//! transforms replaced with worklists driven by the mutation journal. Each
+//! transforms replaced with worklists (instcombine's and DCE's). Each
 //! produces results identical to its modern counterpart (`run_dce`,
 //! `run_instcombine`, …) — the `meld_pipeline` bench and the
 //! `prop_cleanup_vs_pr2` tests cross-check that — so the only difference a

@@ -213,12 +213,11 @@ pub fn meld_function_pr2(func: &mut Function, config: &MeldConfig) -> MeldStats 
                 sink.ssa_repairs += stats.ssa_repairs;
                 sink.iterations += stats.iterations;
             }
+            // The era's pass manager dropped what a pass reported broken.
+            if mutated {
+                am.invalidate_all();
+            }
             Ok(PassOutcome {
-                preserved: if mutated {
-                    darm_analysis::PreservedAnalyses::none()
-                } else {
-                    darm_analysis::PreservedAnalyses::all()
-                },
                 changed: mutated,
                 units: stats.melded_subgraphs as u64,
             })
@@ -231,7 +230,8 @@ pub fn meld_function_pr2(func: &mut Function, config: &MeldConfig) -> MeldStats 
         .add(Box::new(FnPass::new("ssa-repair", |func, am| {
             let n = repair_ssa_with_pr2(func, am) as u64;
             Ok(if n > 0 {
-                PassOutcome::insts_changed(n)
+                am.invalidate_values();
+                PassOutcome::changed(n)
             } else {
                 PassOutcome::unchanged()
             })
@@ -240,7 +240,7 @@ pub fn meld_function_pr2(func: &mut Function, config: &MeldConfig) -> MeldStats 
             let n = run_instcombine_pr2(func) as u64;
             Ok(if n > 0 {
                 am.invalidate_values();
-                PassOutcome::insts_changed(n)
+                PassOutcome::changed(n)
             } else {
                 PassOutcome::unchanged()
             })
@@ -253,9 +253,11 @@ pub fn meld_function_pr2(func: &mut Function, config: &MeldConfig) -> MeldStats 
                 + s.elided_empty_blocks
                 + s.removed_unreachable;
             Ok(if shape > 0 {
-                PassOutcome::cfg_changed(s.total() as u64)
+                am.invalidate_all();
+                PassOutcome::changed(s.total() as u64)
             } else if s.total() > 0 {
-                PassOutcome::insts_changed(s.total() as u64)
+                am.invalidate_values();
+                PassOutcome::changed(s.total() as u64)
             } else {
                 PassOutcome::unchanged()
             })
@@ -264,7 +266,7 @@ pub fn meld_function_pr2(func: &mut Function, config: &MeldConfig) -> MeldStats 
             let n = run_dce_pr2(func) as u64;
             Ok(if n > 0 {
                 am.invalidate_values();
-                PassOutcome::insts_changed(n)
+                PassOutcome::changed(n)
             } else {
                 PassOutcome::unchanged()
             })

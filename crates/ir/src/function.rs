@@ -1,11 +1,11 @@
 //! Functions, basic blocks and instructions.
 
-use crate::dirty::{DirtyDelta, DirtyEvent, JournalCursor, MutationJournal, WindowProbe};
 use crate::opcode::Opcode;
 use crate::types::Type;
 use crate::value::Value;
 use std::error::Error;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Handle to a basic block inside a [`Function`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -180,16 +180,46 @@ pub struct BlockData {
     pub insts: Vec<InstId>,
 }
 
+/// Which state of which [`Function`] instance an analysis was computed
+/// for, read with [`Function::stamp`].
+///
+/// `id` is drawn fresh by every construction path ([`Function::new`], the
+/// parser, [`Clone`], [`Function::restore`]), so a stamp taken on one
+/// instance never matches another. Every mutation API that changes IR
+/// bumps `inst_gen`; one that changes blocks or edges (a terminator's
+/// successors included) bumps `shape_gen` too. A call that changes
+/// nothing bumps nothing. Equal stamps therefore mean the same IR, and
+/// equal `id` and `shape_gen` mean the same block graph.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamp {
+    /// The per-instance identity.
+    pub id: u64,
+    /// Count of edits to blocks or edges.
+    pub shape_gen: u64,
+    /// Count of all edits.
+    pub inst_gen: u64,
+}
+
+impl Stamp {
+    /// Generation zero of a new instance identity.
+    fn fresh() -> Stamp {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+        Stamp {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            shape_gen: 0,
+            inst_gen: 0,
+        }
+    }
+}
+
 /// An SSA function (a GPU kernel, in this crate's intended use).
 ///
 /// Owns arenas of blocks and instructions. Removing a block or instruction
 /// tombstones it: handles stay stable, and `block_ids()` / per-block
 /// instruction lists skip dead entries.
 ///
-/// Every mutation API records what it touched in a [`MutationJournal`], so
-/// consumers (the analysis cache, worklist cleanups) can ask what changed
-/// since a [`JournalCursor`] they remember — see
-/// [`Function::journal_head`] and [`Function::dirty_since`].
+/// Every mutation API moves the function's [`Stamp`], which is how the
+/// analysis cache knows whether an entry still describes the IR.
 #[derive(Debug)]
 pub struct Function {
     name: String,
@@ -200,16 +230,15 @@ pub struct Function {
     dead_insts: Vec<bool>,
     entry: BlockId,
     shared: Vec<SharedArray>,
-    journal: MutationJournal,
+    stamp: Stamp,
     /// Count of non-tombstoned blocks, maintained by
     /// `add_block`/`remove_block` so [`Function::live_block_count`] is
     /// O(1) (the module driver sizes functions by it when scheduling).
     live_blocks: usize,
 }
 
-/// Cloning starts a fresh, empty journal under a new identity: cursors
-/// taken on the original replay as saturated against the clone instead of
-/// silently aliasing into an unrelated edit history.
+/// Cloning draws a fresh [`Stamp`] identity: analyses cached for the
+/// original never count as valid for the clone.
 impl Clone for Function {
     fn clone(&self) -> Function {
         Function {
@@ -221,7 +250,7 @@ impl Clone for Function {
             dead_insts: self.dead_insts.clone(),
             entry: self.entry,
             shared: self.shared.clone(),
-            journal: MutationJournal::new(),
+            stamp: Stamp::fresh(),
             live_blocks: self.live_blocks,
         }
     }
@@ -231,13 +260,11 @@ impl Clone for Function {
 /// [`Function::snapshot`] and applied back with [`Function::restore`].
 ///
 /// Both directions go through [`Function::clone`], so the snapshot and
-/// every restored state carry a *fresh, empty journal identity*: cursors
-/// and checkpoints taken during an abandoned, half-applied pipeline replay
-/// as saturated against the restored function instead of silently aliasing
-/// into an edit history that no longer describes it. That property is what
-/// lets a containment boundary (`darm-pipeline`) roll a function back to
-/// baseline IR after a panic or budget cancellation without auditing any
-/// surviving cursor.
+/// every restored state carry a *fresh [`Stamp`] identity*: no analysis
+/// cached during an abandoned, half-applied pipeline counts as valid for
+/// the restored function. That property is what lets a containment
+/// boundary (`darm-pipeline`) roll a function back to baseline IR after a
+/// panic or budget cancellation without auditing any surviving cache.
 #[derive(Debug, Clone)]
 pub struct FunctionSnapshot {
     inner: Function,
@@ -263,7 +290,7 @@ impl Function {
             dead_insts: Vec::new(),
             entry: BlockId::new(0),
             shared: Vec::new(),
-            journal: MutationJournal::new(),
+            stamp: Stamp::fresh(),
             live_blocks: 0,
         };
         let entry = f.add_block("entry");
@@ -272,11 +299,12 @@ impl Function {
     }
 
     /// Assembles a function from finished arenas, the way [`Clone`] does:
-    /// no journal events, and no [`Function::add_block`] uniqueness scan
-    /// (which is linear in the block count). For the parser, which has
-    /// already rejected duplicate labels and set every instruction's
-    /// `block`. `blocks` holds each block's label and instruction list in
-    /// creation order, entry first, and must not be empty.
+    /// generation zero of a fresh [`Stamp`], and no [`Function::add_block`]
+    /// uniqueness scan (which is linear in the block count). For the
+    /// parser, which has already rejected duplicate labels and set every
+    /// instruction's `block`. `blocks` holds each block's label and
+    /// instruction list in creation order, entry first, and must not be
+    /// empty.
     pub(crate) fn from_parts(
         name: &str,
         params: Vec<Type>,
@@ -303,63 +331,43 @@ impl Function {
             insts,
             entry: BlockId::new(0),
             shared,
-            journal: MutationJournal::new(),
+            stamp: Stamp::fresh(),
         }
     }
 
-    // ---- mutation journal ----
+    // ---- validity stamp ----
 
-    /// The cursor marking "now" in the mutation journal; replaying from it
-    /// with [`Function::dirty_since`] yields everything mutated afterwards.
-    pub fn journal_head(&self) -> JournalCursor {
-        self.journal.head()
+    /// The current [`Stamp`]: which instance this is, and how many edits
+    /// of each kind it has seen.
+    pub fn stamp(&self) -> Stamp {
+        self.stamp
     }
 
-    /// Replays every mutation recorded after `cursor` into a
-    /// [`DirtyDelta`]. A cursor from another function instance (including a
-    /// clone source) or from before a [truncation](Function::truncate_journal)
-    /// replays as saturated — "anything may have changed".
-    pub fn dirty_since(&self, cursor: JournalCursor) -> DirtyDelta {
-        self.journal.replay_since(cursor)
+    /// Notes an edit that left blocks and edges alone.
+    #[inline]
+    fn inst_edit(&mut self) {
+        self.stamp.inst_gen += 1;
     }
 
-    /// Zero-allocation replay of just the instruction-touch events after
-    /// `cursor` (worklist transforms use this to re-enqueue the users a
-    /// substitution reached without building a full [`DirtyDelta`]).
-    /// Returns `false` when the cursor saturated (caller must assume
-    /// anything changed).
-    pub fn insts_touched_since(&self, cursor: JournalCursor, f: impl FnMut(InstId)) -> bool {
-        self.journal.visit_insts_since(cursor, f)
+    /// Notes an edit to blocks or edges.
+    #[inline]
+    fn shape_edit(&mut self) {
+        self.stamp.inst_gen += 1;
+        self.stamp.shape_gen += 1;
     }
 
-    /// O(1) classification of the journal window after `cursor`: clean,
-    /// instruction-only, shape-changing, or saturated — the validity probe
-    /// the analysis cache runs on every query.
-    pub fn probe_since(&self, cursor: JournalCursor) -> WindowProbe {
-        self.journal.probe(cursor)
-    }
-
-    /// Drops the buffered journal events (e.g. after a driver has fully
-    /// consumed them). Cursors taken earlier saturate afterwards, which is
-    /// always safe for consumers (they fall back to whole-function work).
-    pub fn truncate_journal(&mut self) {
-        self.journal.truncate();
-    }
-
-    /// Number of journal events currently buffered.
-    pub fn journal_len(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// Records that an untracked mutation happened: every open cursor
-    /// window replays as saturated from here on. Escape hatch for callers
-    /// mutating IR outside the journaled APIs.
-    pub fn saturate_journal(&mut self) {
-        self.journal.record(DirtyEvent::Saturate);
+    /// Notes an edit of instruction `id`: a shape edit when it is a
+    /// terminator with successors, whose edges the edit may have moved.
+    fn edit_of(&mut self, id: InstId) {
+        if self.insts[id.index()].succs.is_empty() {
+            self.inst_edit();
+        } else {
+            self.shape_edit();
+        }
     }
 
     /// Captures a pre-pipeline copy of the function for later
-    /// [`Function::restore`]. See [`FunctionSnapshot`] for the journal
+    /// [`Function::restore`]. See [`FunctionSnapshot`] for the stamp
     /// identity guarantees.
     pub fn snapshot(&self) -> FunctionSnapshot {
         FunctionSnapshot {
@@ -368,34 +376,11 @@ impl Function {
     }
 
     /// Replaces this function's entire state with `snapshot`'s, under a
-    /// fresh journal identity (cursors taken on the abandoned state — or
-    /// on a previous restore — saturate instead of aliasing). A snapshot
-    /// can be restored any number of times.
+    /// fresh [`Stamp`] identity (analyses cached for the abandoned state —
+    /// or for a previous restore — never match). A snapshot can be
+    /// restored any number of times.
     pub fn restore(&mut self, snapshot: &FunctionSnapshot) {
         *self = snapshot.inner.clone();
-    }
-
-    /// Journal size guard: past this many buffered events the journal
-    /// self-truncates (old cursors degrade to saturation instead of the
-    /// buffer growing without bound).
-    const JOURNAL_CAP: usize = 1 << 20;
-
-    #[inline]
-    fn record(&mut self, ev: DirtyEvent) {
-        if self.journal.len() >= Self::JOURNAL_CAP {
-            self.journal.truncate();
-        }
-        self.journal.record(ev);
-    }
-
-    /// Records the use-count change of every definition the instruction's
-    /// operands reference (they lose or gain a user).
-    fn record_operand_defs_of(&mut self, id: InstId) {
-        for k in 0..self.insts[id.index()].operands.len() {
-            if let Value::Inst(def) = self.insts[id.index()].operands[k] {
-                self.record(DirtyEvent::Inst(def));
-            }
-        }
     }
 
     /// The function's name.
@@ -405,8 +390,8 @@ impl Function {
 
     /// Renames the function (names are unique within a
     /// [`Module`](crate::Module); batch harnesses rename clones before
-    /// collecting them into one). Not a journaled mutation — the name is
-    /// not IR.
+    /// collecting them into one). Moves no [`Stamp`] — the name is not
+    /// IR.
     pub fn set_name(&mut self, name: &str) {
         self.name = name.to_string();
     }
@@ -483,7 +468,7 @@ impl Function {
             alive: true,
         });
         self.live_blocks += 1;
-        self.record(DirtyEvent::BlockAdded(id));
+        self.shape_edit();
         id
     }
 
@@ -492,22 +477,14 @@ impl Function {
     /// Callers are responsible for first removing every edge into the block
     /// (terminator successors and φ incoming entries elsewhere).
     pub fn remove_block(&mut self, b: BlockId) {
-        // The block's own terminator edges vanish with it, and every
-        // definition its instructions referenced loses a user.
-        for s in self.succs(b) {
-            self.record(DirtyEvent::EdgeDeleted(b, s));
-        }
-        let insts = std::mem::take(&mut self.blocks[b.index()].insts);
-        for id in insts {
-            self.record(DirtyEvent::Inst(id));
-            self.record_operand_defs_of(id);
+        for id in std::mem::take(&mut self.blocks[b.index()].insts) {
             self.dead_insts[id.index()] = true;
         }
         if self.blocks[b.index()].alive {
             self.live_blocks -= 1;
         }
         self.blocks[b.index()].alive = false;
-        self.record(DirtyEvent::BlockRemoved(b));
+        self.shape_edit();
     }
 
     /// Whether the block is still part of the function.
@@ -595,20 +572,6 @@ impl Function {
             .unwrap_or_default()
     }
 
-    /// Predecessor lists for every block, indexed by block arena index.
-    ///
-    /// A block appears once per incoming *edge*, so a conditional branch with
-    /// both targets equal contributes two entries.
-    pub fn compute_preds(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for b in self.block_ids() {
-            for s in self.succs(b) {
-                preds[s.index()].push(b);
-            }
-        }
-        preds
-    }
-
     // ---- instructions ----
 
     /// The instruction behind a handle.
@@ -625,31 +588,15 @@ impl Function {
         &self.insts[id.index()]
     }
 
-    /// Mutable access to an instruction.
-    ///
-    /// Journal contract: the instruction, its block and its pre-mutation
-    /// operand definitions are recorded as touched. For a terminator its
-    /// current successor edges are conservatively recorded as possibly
-    /// changed; callers must not *retarget* successors through this escape
-    /// hatch (the new target would go unrecorded) — use
-    /// [`Function::replace_succ`] or remove/re-add the terminator instead.
+    /// Mutable access to an instruction. Counts as an edit; on a
+    /// terminator with successors, as an edit of its block's edges.
     pub fn inst_mut(&mut self, id: InstId) -> &mut InstData {
         assert!(
             !self.dead_insts[id.index()],
             "use of removed instruction %{}",
             id.index()
         );
-        self.record(DirtyEvent::Inst(id));
-        let block = self.insts[id.index()].block;
-        self.record(DirtyEvent::Block(block));
-        self.record_operand_defs_of(id);
-        if !self.insts[id.index()].succs.is_empty() {
-            for k in 0..self.insts[id.index()].succs.len() {
-                let s = self.insts[id.index()].succs[k];
-                self.record(DirtyEvent::EdgeDeleted(block, s));
-                self.record(DirtyEvent::EdgeInserted(block, s));
-            }
-        }
+        self.edit_of(id);
         &mut self.insts[id.index()]
     }
 
@@ -665,7 +612,7 @@ impl Function {
         self.insts.push(data);
         self.dead_insts.push(false);
         self.blocks[block.index()].insts.push(id);
-        self.record_inst_added(block, id);
+        self.edit_of(id);
         id
     }
 
@@ -676,17 +623,8 @@ impl Function {
         self.insts.push(data);
         self.dead_insts.push(false);
         self.blocks[block.index()].insts.insert(pos, id);
-        self.record_inst_added(block, id);
+        self.edit_of(id);
         id
-    }
-
-    fn record_inst_added(&mut self, block: BlockId, id: InstId) {
-        self.record(DirtyEvent::Block(block));
-        self.record(DirtyEvent::Inst(id));
-        for k in 0..self.insts[id.index()].succs.len() {
-            let s = self.insts[id.index()].succs[k];
-            self.record(DirtyEvent::EdgeInserted(block, s));
-        }
     }
 
     /// Inserts an instruction immediately before an existing one.
@@ -703,15 +641,11 @@ impl Function {
     /// Detaches and tombstones an instruction. Uses are not rewritten.
     pub fn remove_inst(&mut self, id: InstId) {
         let block = self.insts[id.index()].block;
-        self.record(DirtyEvent::Inst(id));
-        self.record_operand_defs_of(id);
         if self.is_block_alive(block) {
-            self.record(DirtyEvent::Block(block));
-            for k in 0..self.insts[id.index()].succs.len() {
-                let s = self.insts[id.index()].succs[k];
-                self.record(DirtyEvent::EdgeDeleted(block, s));
-            }
+            self.edit_of(id);
             self.blocks[block.index()].insts.retain(|&i| i != id);
+        } else {
+            self.inst_edit();
         }
         self.dead_insts[id.index()] = true;
     }
@@ -731,13 +665,11 @@ impl Function {
 
     // ---- use rewriting ----
 
-    /// Replaces every operand use of `from` with `to` across the function.
-    ///
-    /// Every rewritten user (and its block) is journaled as touched, along
-    /// with `from`'s definition if it is an instruction (its use count
-    /// dropped to zero).
-    pub fn rauw(&mut self, from: Value, to: Value) {
-        let mut reached = false;
+    /// Replaces every operand use of `from` with `to` across the function
+    /// and returns the rewritten users, in arena order. Counts as an edit
+    /// only when it reached a use.
+    pub fn rauw(&mut self, from: Value, to: Value) -> Vec<InstId> {
+        let mut users = Vec::new();
         for idx in 0..self.insts.len() {
             if self.dead_insts[idx] {
                 continue;
@@ -750,25 +682,21 @@ impl Function {
                 }
             }
             if hit {
-                reached = true;
-                let block = self.insts[idx].block;
-                self.record(DirtyEvent::Inst(InstId::new(idx)));
-                self.record(DirtyEvent::Block(block));
+                users.push(InstId::new(idx));
             }
         }
-        if reached {
-            if let Value::Inst(def) = from {
-                self.record(DirtyEvent::Inst(def));
-            }
+        if !users.is_empty() {
+            self.inst_edit();
         }
+        users
     }
 
     /// Replaces uses of several instruction definitions in one sweep over
-    /// the arena: the operands and the journaled touched sets (rewritten
-    /// users, their blocks, and each definition some use was rewritten
-    /// away from) are exactly those of calling [`Function::rauw`] once per
-    /// pair, in order. In particular a replacement value that is itself a
-    /// later pair's definition is rewritten again by that pair.
+    /// the arena: the operands are exactly those of calling
+    /// [`Function::rauw`] once per pair, in order, and it counts as an edit
+    /// exactly when one of those calls would. In particular a replacement
+    /// value that is itself a later pair's definition is rewritten again by
+    /// that pair.
     pub fn rauw_many(&mut self, map: &[(InstId, Value)]) {
         const END: u32 = u32::MAX;
         if map.is_empty() {
@@ -782,12 +710,11 @@ impl Function {
             next[i] = first[from.index()];
             first[from.index()] = u32::try_from(i).expect("fewer than u32::MAX pairs");
         }
-        let mut reached = vec![false; map.len()];
+        let mut reached = false;
         for idx in 0..self.insts.len() {
             if self.dead_insts[idx] {
                 continue;
             }
-            let mut hit = false;
             for op in &mut self.insts[idx].operands {
                 // Replay the pairs in order: the operand moves to the value
                 // of the first pair, at or after `step`, keyed by what it
@@ -802,25 +729,17 @@ impl Function {
                         break;
                     }
                     *op = map[i as usize].1;
-                    reached[i as usize] = true;
-                    hit = true;
+                    reached = true;
                     step = i + 1;
                 }
             }
-            if hit {
-                let block = self.insts[idx].block;
-                self.record(DirtyEvent::Inst(InstId::new(idx)));
-                self.record(DirtyEvent::Block(block));
-            }
         }
-        for (&(from, _), &r) in map.iter().zip(&reached) {
-            if r {
-                self.record(DirtyEvent::Inst(from));
-            }
+        if reached {
+            self.inst_edit();
         }
     }
 
-    /// Calls `f` with every live instruction that uses `v` as an operand.
+    /// Every live instruction that uses `v` as an operand, in arena order.
     pub fn users_of(&self, v: Value) -> Vec<InstId> {
         let mut users = Vec::new();
         for idx in 0..self.insts.len() {
@@ -846,10 +765,7 @@ impl Function {
                 }
             }
             if hits > 0 {
-                self.record(DirtyEvent::Inst(t));
-                self.record(DirtyEvent::Block(b));
-                self.record(DirtyEvent::EdgeDeleted(b, from));
-                self.record(DirtyEvent::EdgeInserted(b, to));
+                self.shape_edit();
             }
         }
     }
@@ -887,19 +803,15 @@ impl Function {
     /// to the new block. The original block is left *without* a terminator;
     /// the caller must add one.
     pub fn split_block_at(&mut self, block: BlockId, at: usize, new_name: &str) -> BlockId {
+        // A shape edit, which also counts the moved terminator's out-edges
+        // changing source block.
         let new_block = self.add_block(new_name);
         let moved: Vec<InstId> = self.blocks[block.index()].insts.split_off(at);
         for &id in &moved {
             self.insts[id.index()].block = new_block;
-            self.record(DirtyEvent::Inst(id));
         }
         self.blocks[new_block.index()].insts = moved;
-        self.record(DirtyEvent::Block(block));
-        self.record(DirtyEvent::Block(new_block));
         for succ in self.succs(new_block) {
-            // The moved terminator's out-edges change source block.
-            self.record(DirtyEvent::EdgeDeleted(block, succ));
-            self.record(DirtyEvent::EdgeInserted(new_block, succ));
             self.phi_retarget_pred(succ, block, new_block);
         }
         new_block
@@ -1005,8 +917,7 @@ impl Function {
 
     /// Predecessor block indices of every block in CSR form
     /// (`rows[off[b]..off[b + 1]]`), one entry per edge from a live block,
-    /// sources in arena order — [`Function::compute_preds`] in three
-    /// allocations.
+    /// sources in arena order, in three allocations.
     fn pred_rows(&self) -> (Vec<usize>, Vec<usize>) {
         let cap = self.blocks.len();
         let mut off = vec![0usize; cap + 1];
@@ -1282,8 +1193,8 @@ mod tests {
         let (f, entry, then, els, exit) = diamond();
         assert_eq!(f.succs(entry), vec![then, els]);
         assert_eq!(f.succs(then), vec![exit]);
-        let preds = f.compute_preds();
-        assert_eq!(preds[exit.index()].len(), 2);
+        let (off, rows) = f.pred_rows();
+        assert_eq!(&rows[off[exit.index()]..off[exit.index() + 1]], &[1, 2]);
         f.verify_structure().unwrap();
     }
 

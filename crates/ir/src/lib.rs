@@ -17,8 +17,8 @@
 //!
 //! Functions are arena-based: [`Function`] owns all blocks and instructions,
 //! and [`BlockId`]/[`InstId`]/[`Value`] are small `Copy` handles. A
-//! [`Module`] collects named functions for batch compilation — each keeps
-//! its own mutation journal, so module-level drivers run the
+//! [`Module`] collects named functions for batch compilation — each carries
+//! its own validity [`Stamp`], so module-level drivers run the
 //! per-function pipelines unchanged (and, functions being independent, in
 //! parallel).
 //!
@@ -54,7 +54,6 @@
 pub mod budget;
 pub mod builder;
 pub mod cost;
-pub mod dirty;
 pub mod fault;
 pub mod function;
 pub mod hash;
@@ -66,9 +65,8 @@ pub mod types;
 pub mod value;
 
 pub use budget::Budget;
-pub use dirty::{BlockSet, DirtyDelta, JournalCursor, WindowProbe};
 pub use function::{
-    BlockData, BlockId, Function, FunctionSnapshot, InstData, InstId, IrError, SharedArray,
+    BlockData, BlockId, Function, FunctionSnapshot, InstData, InstId, IrError, SharedArray, Stamp,
 };
 pub use module::{DuplicateFunction, Module};
 pub use opcode::{Dim, FcmpPred, IcmpPred, Opcode};

@@ -1,11 +1,11 @@
-//! `Function::rauw_many` against its specification: the same operands and
-//! the same journaled touched sets as calling `Function::rauw` once per
-//! pair, in order — over random functions and random maps, including
-//! chains (a replacement that is a later pair's key), repeated keys,
-//! self-replacements and keys with no live use.
+//! `Function::rauw_many` against its specification: the same operands as
+//! calling `Function::rauw` once per pair, in order, and a stamp that moves
+//! exactly when one of those calls reaches a use — over random functions
+//! and random maps, including chains (a replacement that is a later pair's
+//! key), repeated keys, self-replacements and keys with no live use. Each
+//! sequential `rauw` must report exactly the live users of its key.
 
-use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Type, Value};
-use std::collections::BTreeSet;
+use darm_ir::{Function, InstData, InstId, Opcode, Stamp, Type, Value};
 
 /// xorshift64* — deterministic, dependency-free.
 struct Rng(u64);
@@ -72,30 +72,29 @@ fn random_map(rng: &mut Rng, defs: &[InstId]) -> Vec<(InstId, Value)> {
         .collect()
 }
 
-/// Live operands, dirty blocks and touched instructions after `edit`.
-type Observed = (Vec<(InstId, Vec<Value>)>, Vec<BlockId>, BTreeSet<InstId>);
-
-fn observe(f: &Function, edit: impl FnOnce(&mut Function)) -> Observed {
-    let mut f = f.clone();
-    let cursor = f.journal_head();
-    edit(&mut f);
-    let operands = (0..f.inst_capacity())
+/// Live operands after an edit.
+fn operands(f: &Function) -> Vec<(InstId, Vec<Value>)> {
+    (0..f.inst_capacity())
         .map(InstId::new)
         .filter(|&i| f.is_inst_alive(i))
         .map(|i| (i, f.inst(i).operands.clone()))
-        .collect();
-    let blocks = f.dirty_since(cursor).blocks.iter().collect();
-    let mut insts = BTreeSet::new();
-    assert!(f.insts_touched_since(cursor, |i| {
-        insts.insert(i);
-    }));
-    (operands, blocks, insts)
+        .collect()
+}
+
+/// The generations an edit added to `before`.
+fn moved(before: Stamp, after: Stamp) -> (u64, u64) {
+    assert_eq!(before.id, after.id, "an edit keeps the instance identity");
+    (
+        after.inst_gen - before.inst_gen,
+        after.shape_gen - before.shape_gen,
+    )
 }
 
 #[test]
 fn rauw_many_equals_sequential_rauw() {
     let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
     let mut chained = 0;
+    let mut unreached = 0;
     for case in 0..2000 {
         let (f, defs) = random_function(&mut rng);
         let map = random_map(&mut rng, &defs);
@@ -104,24 +103,55 @@ fn rauw_many_equals_sequential_rauw() {
             .enumerate()
             .any(|(i, &(_, to))| map[i + 1..].iter().any(|&(k, _)| Value::Inst(k) == to))
             as usize;
-        let sequential = observe(&f, |f| {
-            for &(from, to) in &map {
-                f.rauw(Value::Inst(from), to);
-            }
-        });
-        let batched = observe(&f, |f| f.rauw_many(&map));
-        assert_eq!(sequential, batched, "case {case}: map {map:?}");
+
+        let mut seq = f.clone();
+        let before = seq.stamp();
+        let mut reaching_calls = 0;
+        for &(from, to) in &map {
+            let users = seq.users_of(Value::Inst(from));
+            assert_eq!(
+                seq.rauw(Value::Inst(from), to),
+                users,
+                "case {case}: rauw reports the users it rewrote"
+            );
+            reaching_calls += u64::from(!users.is_empty());
+        }
+        assert_eq!(
+            moved(before, seq.stamp()),
+            (reaching_calls, 0),
+            "case {case}: one instruction edit per call that reached a use"
+        );
+
+        let mut batched = f.clone();
+        let before = batched.stamp();
+        batched.rauw_many(&map);
+        assert_eq!(
+            operands(&seq),
+            operands(&batched),
+            "case {case}: map {map:?}"
+        );
+        assert_eq!(
+            moved(before, batched.stamp()),
+            (u64::from(reaching_calls > 0), 0),
+            "case {case}: one instruction edit iff some use was reached"
+        );
+        unreached += usize::from(reaching_calls == 0);
     }
     assert!(
         chained > 100,
         "the generator must exercise chains ({chained})"
     );
+    assert!(
+        unreached > 0,
+        "the generator must exercise maps that reach no use"
+    );
 }
 
 #[test]
-fn rauw_many_of_nothing_records_nothing() {
+fn rauw_many_of_nothing_moves_nothing() {
     let mut rng = Rng(7);
-    let (f, _) = random_function(&mut rng);
-    let (_, blocks, insts) = observe(&f, |f| f.rauw_many(&[]));
-    assert!(blocks.is_empty() && insts.is_empty());
+    let (mut f, _) = random_function(&mut rng);
+    let before = f.stamp();
+    f.rauw_many(&[]);
+    assert_eq!(f.stamp(), before);
 }

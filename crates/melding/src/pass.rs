@@ -198,11 +198,6 @@ impl Pass for MeldPass {
         // A scan that melded nothing, padded nothing and grew no arena is
         // provably mutation-free.
         Ok(PassOutcome {
-            preserved: if mutated {
-                darm_analysis::PreservedAnalyses::none()
-            } else {
-                darm_analysis::PreservedAnalyses::all()
-            },
             changed: mutated,
             units: stats.melded_subgraphs as u64,
         })
@@ -244,13 +239,12 @@ impl Pass for TailMergePass {
     fn run(
         &mut self,
         func: &mut Function,
-        am: &mut AnalysisManager,
+        _am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
         let n = crate::tail_merge(func) as u64;
         self.merged += n;
         Ok(if n > 0 {
-            am.invalidate_all();
-            PassOutcome::cfg_changed(n)
+            PassOutcome::changed(n)
         } else {
             PassOutcome::unchanged()
         })

@@ -33,9 +33,9 @@
 //!            ▼                          └────────────────────────────────┘
 //!   PassManager ── run ──► Pass 1 ─► Pass 2 ─► … ─► PipelineReport
 //!        │                   │  ▲
-//!        │ retain(preserved) │  │ get::<A>() (cache hit or compute)
-//!        ▼                   ▼  │
-//!   AnalysisManager { Cfg, DomTree, PostDomTree, Divergence, Liveness, LoopInfo }
+//!        │ invalidate_all    │  │ get::<A>() (stamp hit or compute)
+//!        ▼ (containment)     ▼  │
+//!   AnalysisManager { Cfg, DomTree, PostDomTree, Divergence }
 //! ```
 //!
 //! ## The spec grammar
@@ -59,36 +59,26 @@
 //!
 //! ### The pass contract
 //!
-//! A [`Pass`] receives the function and the shared analysis cache. It must
-//! uphold two obligations:
-//!
-//! 1. **Cache consistency during the run.** Every mutation through the
-//!    `Function` API is journaled, and the manager's read rule (below)
-//!    never serves an entry the journal says may have changed. A pass that
-//!    edits IR outside the journal's contract (retargeting successors
-//!    through the raw `inst_mut` escape hatch) must call
-//!    `Function::saturate_journal` before it queries again.
-//! 2. **Preservation report.** The returned [`PassOutcome`] declares what
-//!    survived the whole run via
-//!    [`PreservedAnalyses`]. The manager
-//!    applies it with `AnalysisManager::retain`, which can only *drop*
-//!    entries — so an over-conservative report costs recomputation, never
-//!    correctness, and a pass that forgot an internal invalidation is still
-//!    caught by its (coarser) report.
+//! A [`Pass`] receives the function and the shared analysis cache. It
+//! mutates the function only through the `Function` API, which moves the
+//! function's `darm_ir::Stamp` on every edit, and reports in its
+//! [`PassOutcome`] whether it changed anything and how many rewrite units
+//! it performed. It owes the cache no report: validity is the stamp's
+//! business alone.
 //!
 //! ### Invalidation
 //!
 //! The [`AnalysisManager`] checks every cached entry against the
-//! function's `darm-ir` mutation journal when it is read (see
-//! `darm_analysis::manager`): a clean window is a hit, an instruction-only
-//! window keeps the shape-only analyses, anything else recomputes. A
-//! pass's report therefore only decides how early entries are dropped:
+//! function's stamp when it is read (see `darm_analysis::manager`):
 //!
-//! | mutation | report |
-//! |---|---|
-//! | none | `PreservedAnalyses::all()` |
-//! | instructions only (φs, rauw, peepholes, DCE) | `PreservedAnalyses::cfg_shape()` — keeps CFG/dom/post-dom/loops |
-//! | blocks or edges | `PreservedAnalyses::none()` |
+//! | edit since the entry was computed | shape-only analyses (CFG, dom, post-dom) | divergence |
+//! |---|---|---|
+//! | none | hit | hit |
+//! | instructions only (φs, rauw, peepholes, DCE) | hit (restamped) | recompute |
+//! | blocks or edges, or another instance | recompute | recompute |
+//!
+//! `AnalysisManager::invalidate_all` drops everything explicitly: after
+//! containment rolls a function back, and after every meld (Algorithm 1).
 //!
 //! `PipelineReport` splits per-pass analysis *computations* from cache
 //! *hits*, which `--time-passes` prints.
@@ -103,7 +93,7 @@
 //!
 //! * **Containment.** [`PassManager::run_contained`] snapshots the
 //!   function ([`Function::snapshot`] — the restored state carries a
-//!   fresh journal identity, so no stale cursor survives), wraps the run
+//!   fresh stamp identity, so no cached analysis survives), wraps the run
 //!   in `catch_unwind`, and on any fault — a pass panic, an injected
 //!   fault, a budget cancellation, or a plain pipeline error — restores
 //!   the snapshot, empties the analysis cache and returns a
@@ -148,7 +138,7 @@ pub use passes::{
 pub use registry::{PassParams, PassRegistry};
 pub use spec::{PassSpec, SpecElem, SpecError};
 
-use darm_analysis::{AnalysisCounters, AnalysisManager, PreservedAnalyses};
+use darm_analysis::{AnalysisCounters, AnalysisManager};
 use darm_ir::Function;
 use std::any::Any;
 use std::cell::RefCell;
@@ -158,8 +148,6 @@ use std::time::Instant;
 /// What one [`Pass::run`] did, reported back to the [`PassManager`].
 #[derive(Debug, Clone)]
 pub struct PassOutcome {
-    /// Which analyses survived the run (see crate docs for the rules).
-    pub preserved: PreservedAnalyses,
     /// Whether the pass changed the function at all.
     pub changed: bool,
     /// Pass-defined count of rewrites/changes, summed into the report.
@@ -170,26 +158,14 @@ impl PassOutcome {
     /// The pass changed nothing.
     pub fn unchanged() -> PassOutcome {
         PassOutcome {
-            preserved: PreservedAnalyses::all(),
             changed: false,
             units: 0,
         }
     }
 
-    /// The pass performed `units` instruction-level rewrites without
-    /// touching the block graph.
-    pub fn insts_changed(units: u64) -> PassOutcome {
+    /// The pass performed `units` rewrites.
+    pub fn changed(units: u64) -> PassOutcome {
         PassOutcome {
-            preserved: PreservedAnalyses::cfg_shape(),
-            changed: true,
-            units,
-        }
-    }
-
-    /// The pass performed `units` rewrites including block/edge surgery.
-    pub fn cfg_changed(units: u64) -> PassOutcome {
-        PassOutcome {
-            preserved: PreservedAnalyses::none(),
             changed: true,
             units,
         }
@@ -215,8 +191,8 @@ pub trait Pass {
         Vec::new()
     }
 
-    /// Clears all per-function state — journal cursors, dominator
-    /// baselines, stat counters — so the instance behaves exactly like a
+    /// Clears all per-function state — stat counters, inner pipelines'
+    /// records — so the instance behaves exactly like a
     /// freshly constructed one on its next function. Lets a module worker
     /// pool pipeline instances across the functions it claims instead of
     /// rebuilding them. The default is a no-op, correct for stateless
@@ -637,7 +613,7 @@ impl PassManager {
     /// snapshotted first, the run is wrapped in `catch_unwind`, and on any
     /// fault — a pass panic, an injected fault, a budget cancellation
     /// unwind, or a plain pipeline error — the function is restored to its
-    /// pre-pipeline snapshot (under a fresh journal identity), `am` is
+    /// pre-pipeline snapshot (under a fresh stamp identity), `am` is
     /// emptied, and the returned [`Diagnostic`] describes what
     /// happened.
     ///
@@ -744,7 +720,6 @@ impl PassManager {
                     pass: pass.name().to_string(),
                     message,
                 })?;
-            am.retain(&outcome.preserved);
             if let Some(before) = counters_before {
                 record.analysis.add(&am.counters().since(&before));
             }
@@ -886,7 +861,7 @@ mod tests {
                 let x = *blocks.last().unwrap();
                 let term = func.terminator(x).unwrap();
                 func.inst_mut(term).operands[0] = Value::Inst(t_inst);
-                Ok(PassOutcome::insts_changed(1))
+                Ok(PassOutcome::changed(1))
             }
         }
         // Build a diamond where the branch is NOT constant so both arms stay.

@@ -18,8 +18,8 @@
 //! Each worker builds *one* pipeline instance from the shared parsed spec
 //! and pools it across the functions it claims:
 //! [`PassManager::reset_for_reuse`](crate::PassManager::reset_for_reuse)
-//! clears the per-function pass state (journal cursors, dominator
-//! baselines, stat sinks) between functions, so a pooled run is
+//! clears the per-function pass state (stat sinks, inner pipelines'
+//! records) between functions, so a pooled run is
 //! bit-identical to per-function construction without paying the factory
 //! cost per function. After a contained fault the pooled instance is
 //! discarded (a pass may have been abandoned mid-run) and rebuilt lazily.
@@ -56,7 +56,7 @@ pub enum OnError {
     #[default]
     Fail,
     /// Contain the fault: restore the function's pre-pipeline IR (bit
-    /// identical, fresh journal identity), record
+    /// identical, fresh stamp identity), record
     /// [`FunctionOutcome::Degraded`] with its [`Diagnostic`], and keep
     /// compiling every other function. The CLI default (`darm meld
     /// --on-error=degrade`): melding is strictly optional, so baseline IR

@@ -1,16 +1,13 @@
 //! [`Pass`] adapters for the cleanup transforms in `darm-transforms`, plus
 //! a standalone SSA-verification pass and a generic closure adapter.
 //!
-//! Each adapter translates the transform's own change report into the
-//! [`PreservedAnalyses`](darm_analysis::PreservedAnalyses) tier it
-//! warrants: block/edge surgery preserves nothing, instruction-only
-//! rewrites preserve the CFG-shape analyses, a no-op preserves everything
-//! (see the crate docs for the invalidation rules).
+//! Each adapter turns the transform's own change count into a
+//! [`PassOutcome`]; the analysis cache needs nothing more (see the crate
+//! docs for the invalidation rules).
 //!
 //! Every adapter runs its transform over the whole function; the in-run
-//! worklists (instcombine's journal re-enqueue, simplify's warm-up round
-//! followed by rounds scoped to its own rewrites, DCE's use-count
-//! worklist) live in `darm-transforms`.
+//! worklists (instcombine's re-enqueue of the users each substitution
+//! rewrote, DCE's use-count worklist) live in `darm-transforms`.
 
 use crate::{Pass, PassOutcome};
 use darm_analysis::AnalysisManager;
@@ -18,22 +15,13 @@ use darm_ir::Function;
 use darm_transforms::simplify::SimplifyStats;
 use darm_transforms::{repair_ssa_with, run_dce, run_instcombine, simplify_cfg_with};
 
-/// `simplifycfg` as a pass. Reports precisely: runs that only removed φs
-/// keep the shape analyses; runs that touched blocks or edges drop all.
+/// `simplifycfg` as a pass.
 #[derive(Debug, Default)]
 pub struct SimplifyCfgPass {
     total: SimplifyStats,
 }
 
 impl SimplifyCfgPass {
-    fn shape_changes(s: &SimplifyStats) -> usize {
-        s.folded_const_branches
-            + s.folded_same_target_branches
-            + s.merged_blocks
-            + s.elided_empty_blocks
-            + s.removed_unreachable
-    }
-
     fn accumulate(&mut self, s: &SimplifyStats) {
         self.total.folded_const_branches += s.folded_const_branches;
         self.total.folded_same_target_branches += s.folded_same_target_branches;
@@ -57,10 +45,8 @@ impl Pass for SimplifyCfgPass {
     ) -> Result<PassOutcome, String> {
         let stats = simplify_cfg_with(func, am);
         self.accumulate(&stats);
-        Ok(if Self::shape_changes(&stats) > 0 {
-            PassOutcome::cfg_changed(stats.total() as u64)
-        } else if stats.total() > 0 {
-            PassOutcome::insts_changed(stats.total() as u64)
+        Ok(if stats.total() > 0 {
+            PassOutcome::changed(stats.total() as u64)
         } else {
             PassOutcome::unchanged()
         })
@@ -92,7 +78,7 @@ impl Pass for SimplifyCfgPass {
     }
 }
 
-/// Dead-code elimination as a pass (instruction-only, keeps CFG shape).
+/// Dead-code elimination as a pass.
 #[derive(Debug, Default)]
 pub struct DcePass {
     removed: u64,
@@ -111,7 +97,7 @@ impl Pass for DcePass {
         let n = run_dce(func) as u64;
         self.removed += n;
         Ok(if n > 0 {
-            PassOutcome::insts_changed(n)
+            PassOutcome::changed(n)
         } else {
             PassOutcome::unchanged()
         })
@@ -126,8 +112,7 @@ impl Pass for DcePass {
     }
 }
 
-/// Peephole `instcombine` as a pass (instruction-only, keeps CFG shape;
-/// divergence may shrink under constant substitution, so it is dropped).
+/// Peephole `instcombine` as a pass.
 #[derive(Debug, Default)]
 pub struct InstCombinePass {
     combined: u64,
@@ -141,13 +126,12 @@ impl Pass for InstCombinePass {
     fn run(
         &mut self,
         func: &mut Function,
-        am: &mut AnalysisManager,
+        _am: &mut AnalysisManager,
     ) -> Result<PassOutcome, String> {
         let n = run_instcombine(func) as u64;
         self.combined += n;
         Ok(if n > 0 {
-            am.invalidate_values();
-            PassOutcome::insts_changed(n)
+            PassOutcome::changed(n)
         } else {
             PassOutcome::unchanged()
         })
@@ -162,8 +146,7 @@ impl Pass for InstCombinePass {
     }
 }
 
-/// IDF-based SSA reconstruction as a pass. φ insertion leaves the block
-/// graph intact, so the shape analyses survive.
+/// IDF-based SSA reconstruction as a pass.
 #[derive(Debug, Default)]
 pub struct SsaRepairPass {
     repaired: u64,
@@ -182,7 +165,7 @@ impl Pass for SsaRepairPass {
         let n = repair_ssa_with(func, am) as u64;
         self.repaired += n;
         Ok(if n > 0 {
-            PassOutcome::insts_changed(n)
+            PassOutcome::changed(n)
         } else {
             PassOutcome::unchanged()
         })
@@ -221,13 +204,9 @@ impl Pass for VerifyPass {
 /// A `fixpoint(...)` spec group as a pass: re-runs its inner pipeline
 /// until a full round reports no change, or `max` rounds have run.
 ///
-/// The inner passes apply their own
-/// [`PreservedAnalyses`](darm_analysis::PreservedAnalyses) reports against
-/// the shared [`AnalysisManager`] after every run, so by the time the
-/// group returns the cache holds only entries its rounds did not break —
-/// the group itself therefore reports `all()` (keeping that state) plus a
-/// truthful `changed` flag — the same contract the melding pass's inner
-/// cleanup pipeline relies on.
+/// The inner passes share the group's [`AnalysisManager`], whose read rule
+/// keeps whatever their rounds did not break; the group reports a truthful
+/// `changed` flag and the units its rounds performed.
 pub struct FixpointPass {
     label: String,
     inner: crate::PassManager,
@@ -273,7 +252,6 @@ impl Pass for FixpointPass {
             }
         }
         Ok(PassOutcome {
-            preserved: darm_analysis::PreservedAnalyses::all(),
             changed: changed_any,
             units: self.inner.total_units() - units_before,
         })

@@ -8,11 +8,10 @@
 //!
 //! The engine is a worklist: whether an instruction reduces depends only on
 //! its own opcode and operands, and operands change only through RAUW — so
-//! after each rewrite the `darm-ir` journal names exactly the users whose
-//! operands moved, and only those re-enter the queue. The rewrite system is
-//! confluent (rewrites only remove instructions and substitute values), so
-//! the fixpoint reached equals the seed implementation's repeated
-//! whole-function sweeps.
+//! after each rewrite exactly the users [`Function::rauw`] reports as
+//! rewritten re-enter the queue. The rewrite system is confluent (rewrites
+//! only remove instructions and substitute values), so the fixpoint reached
+//! equals the seed implementation's repeated whole-function sweeps.
 
 use darm_ir::{Function, InstId, Opcode, Value};
 
@@ -35,18 +34,11 @@ pub fn run_instcombine(func: &mut Function) -> usize {
         let Some(v) = simplify_inst(func, id) else {
             continue;
         };
-        // The journal window of the substitution names every rewritten
-        // user — exactly the instructions whose foldability may have
-        // changed.
-        let cursor = func.journal_head();
-        func.rauw(Value::Inst(id), v);
+        // The rewritten users are exactly the instructions whose
+        // foldability may have changed.
+        work.extend(func.rauw(Value::Inst(id), v));
         func.remove_inst(id);
         total += 1;
-        func.insts_touched_since(cursor, |t| {
-            if t != id {
-                work.push(t);
-            }
-        });
     }
     total
 }

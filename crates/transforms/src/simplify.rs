@@ -1,16 +1,14 @@
 //! CFG simplification, the analogue of LLVM's `simplifycfg`.
 //!
-//! A run sweeps the whole function once, then scopes every later round to
-//! the blocks its own rewrites touched plus their one-hop CFG neighborhood
-//! (every rewrite's enabling condition reads at most a block and its
-//! direct neighbors, and any edge change dirties both endpoints), instead
-//! of rescanning the whole function per round. Iteration order over the
-//! filtered blocks is unchanged, so the rewrite *sequence* — and therefore
-//! every allocated block/instruction id and the printed IR — is identical
-//! to whole-function rounds.
+//! Every round sweeps the whole function, in block-arena order, until a
+//! round changes nothing. Unreachable-code removal, whose enabling
+//! condition is global, runs in the first round and then only in rounds
+//! that begin after an edit to blocks or edges (a moved
+//! [`Stamp::shape_gen`](darm_ir::Stamp)): no other edit can make a block
+//! unreachable.
 
 use darm_analysis::{AnalysisManager, Cfg};
-use darm_ir::{BlockId, Function, InstData, InstId, JournalCursor, Opcode, Value};
+use darm_ir::{BlockId, Function, InstData, InstId, Opcode, Value};
 
 /// Statistics of one [`simplify_cfg`] run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,132 +59,26 @@ pub fn simplify_cfg(func: &mut Function) -> SimplifyStats {
 /// version.
 pub fn simplify_cfg_with(func: &mut Function, am: &mut AnalysisManager) -> SimplifyStats {
     let mut stats = SimplifyStats::default();
-    let mut scope = ScopeState::warmup(func);
+    // The `shape_gen` at which unreachable blocks were last removed.
+    let mut swept_at = None;
     loop {
         darm_ir::budget::poll("transforms::simplify");
         darm_ir::fault::point("transforms::simplify");
         let mut changed = false;
-        scope.refresh(func, am);
-        if scope.shape_changed() {
+        if swept_at != Some(func.stamp().shape_gen) {
             changed |= remove_unreachable(func, am, &mut stats);
+            swept_at = Some(func.stamp().shape_gen);
         }
-        changed |= fold_branches(func, am, &mut stats, &mut scope);
-        changed |= remove_trivial_phis(func, am, &mut stats, &mut scope);
-        changed |= dedup_phis(func, am, &mut stats, &mut scope);
-        changed |= merge_straightline(func, am, &mut stats, &mut scope);
-        changed |= elide_empty_blocks(func, am, &mut stats, &mut scope);
-        scope.end_warmup();
+        changed |= fold_branches(func, &mut stats);
+        changed |= remove_trivial_phis(func, &mut stats);
+        changed |= dedup_phis(func, &mut stats);
+        changed |= merge_straightline(func, am, &mut stats);
+        changed |= elide_empty_blocks(func, am, &mut stats);
         if !changed {
             break;
         }
     }
     stats
-}
-
-/// The live rewrite window of a run: the dirty region accumulated from
-/// the run's own mutations and the candidate blocks derived from it.
-///
-/// Every sub-transform [`refresh`](ScopeState::refresh)es the state at the
-/// top of each of its sweeps, so a rewrite performed by an earlier
-/// sub-transform (or an earlier sweep) immediately extends the candidate
-/// set — this is what keeps the scoped rewrite *sequence*, not just the
-/// fixpoint, identical to the whole-function run.
-struct ScopeState {
-    /// False after saturation: every query answers "whole-function".
-    alive: bool,
-    /// While set, every block is allowed regardless of the window — the
-    /// *warmup round*. A run sweeps its first round whole-function; every
-    /// redex a later round could see either lies in the warmup round's own
-    /// mutation closure (the window accumulates it) or would already have
-    /// been consumed when its sub-transform swept the whole function.
-    /// Rounds after warmup therefore scope exactly, with no assumptions
-    /// about the input.
-    warmup: bool,
-    /// Journal position up to which the window has been drained.
-    cursor: JournalCursor,
-    /// Whether the accumulated window touched the block graph — gates
-    /// unreachable-code removal, whose enabling condition is global.
-    shape_seen: bool,
-    /// Dirty blocks drained from the journal but not yet folded into the
-    /// candidate set.
-    pending: Vec<BlockId>,
-    /// Dirty blocks plus one-hop neighborhood. Grows monotonically: a
-    /// neighborhood is expanded against the CFG at marking time, and any
-    /// later edge change re-marks both endpoints itself, so the union
-    /// over time covers the current neighborhood of every dirty block.
-    candidates: Vec<bool>,
-}
-
-impl ScopeState {
-    /// Whole-function first round, exact self-scoping afterwards.
-    fn warmup(func: &Function) -> ScopeState {
-        ScopeState {
-            alive: true,
-            warmup: true,
-            cursor: func.journal_head(),
-            shape_seen: false,
-            pending: Vec::new(),
-            candidates: Vec::new(),
-        }
-    }
-
-    /// Ends the warmup round (no-op afterwards).
-    fn end_warmup(&mut self) {
-        self.warmup = false;
-    }
-
-    fn allows(&self, b: BlockId) -> bool {
-        if self.warmup || !self.alive {
-            return true;
-        }
-        self.candidates.get(b.index()).copied().unwrap_or(true)
-    }
-
-    fn shape_changed(&self) -> bool {
-        self.warmup || !self.alive || self.shape_seen
-    }
-
-    /// Drains the journal into the window and folds newly dirty blocks
-    /// (plus their one-hop neighborhood under the current CFG) into the
-    /// candidate set. Degrades to whole-function on saturation. O(new
-    /// events), not O(window).
-    fn refresh(&mut self, func: &Function, am: &mut AnalysisManager) {
-        if !self.alive {
-            return;
-        }
-        let fresh = func.dirty_since(self.cursor);
-        self.cursor = func.journal_head();
-        if fresh.is_saturated() {
-            self.alive = false;
-            return;
-        }
-        self.shape_seen |= fresh.shape_changed();
-        self.pending.extend(fresh.blocks.iter());
-        if self.warmup || self.pending.is_empty() {
-            return; // candidates unused until the warmup round ends
-        }
-        let cfg = am.get::<Cfg>(func);
-        if self.candidates.len() < func.block_capacity() {
-            self.candidates.resize(func.block_capacity(), false);
-        }
-        for b in std::mem::take(&mut self.pending) {
-            if b.index() >= self.candidates.len() {
-                continue;
-            }
-            self.candidates[b.index()] = true;
-            if !func.is_block_alive(b) {
-                continue;
-            }
-            for &s in func.succ_slice(b) {
-                self.candidates[s.index()] = true;
-            }
-            if cfg.is_reachable(b) {
-                for &p in cfg.preds(b) {
-                    self.candidates[p.index()] = true;
-                }
-            }
-        }
-    }
 }
 
 fn remove_unreachable(
@@ -217,24 +109,15 @@ fn remove_unreachable(
         stats.removed_unreachable += 1;
         changed = true;
     }
-    // No explicit invalidation: every mutation above is journaled, and the
-    // manager's read rule drops what it changed at the next query.
+    // No explicit invalidation: every mutation above moves the stamp, and
+    // the manager's read rule drops what it changed at the next query.
     changed
 }
 
-fn fold_branches(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
-) -> bool {
-    scope.refresh(func, am);
+fn fold_branches(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     let mut changed = false;
     for b in (0..func.block_capacity()).map(BlockId::new) {
         if !func.is_block_alive(b) {
-            continue;
-        }
-        if !scope.allows(b) {
             continue;
         }
         let Some(t) = func.terminator(b) else {
@@ -266,26 +149,17 @@ fn fold_branches(
             changed = true;
         }
     }
-    // No explicit invalidation: every mutation above is journaled, and the
-    // manager's read rule drops what it changed at the next query.
+    // No explicit invalidation: every mutation above moves the stamp, and
+    // the manager's read rule drops what it changed at the next query.
     changed
 }
 
-fn remove_trivial_phis(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
-) -> bool {
+fn remove_trivial_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     let mut changed = false;
     loop {
-        scope.refresh(func, am);
         let mut local = false;
         for b in (0..func.block_capacity()).map(BlockId::new) {
             if !func.is_block_alive(b) {
-                continue;
-            }
-            if !scope.allows(b) {
                 continue;
             }
             for phi in func.phis_of(b) {
@@ -321,25 +195,13 @@ fn remove_trivial_phis(
             break;
         }
     }
-    if changed {
-        am.invalidate_values();
-    }
     changed
 }
 
-fn dedup_phis(
-    func: &mut Function,
-    am: &mut AnalysisManager,
-    stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
-) -> bool {
-    scope.refresh(func, am);
+fn dedup_phis(func: &mut Function, stats: &mut SimplifyStats) -> bool {
     let mut changed = false;
     for b in (0..func.block_capacity()).map(BlockId::new) {
         if !func.is_block_alive(b) {
-            continue;
-        }
-        if !scope.allows(b) {
             continue;
         }
         let phis = func.phis_of(b);
@@ -362,9 +224,6 @@ fn dedup_phis(
             }
         }
     }
-    if changed {
-        am.invalidate_values();
-    }
     changed
 }
 
@@ -374,7 +233,6 @@ fn merge_straightline(
     func: &mut Function,
     am: &mut AnalysisManager,
     stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
 ) -> bool {
     let mut changed = false;
     // Reachable-predecessor lists (one entry per edge), maintained locally
@@ -388,7 +246,6 @@ fn merge_straightline(
     let cfg = am.get::<Cfg>(func);
     let mut local: Option<Vec<Vec<BlockId>>> = None;
     loop {
-        scope.refresh(func, am);
         let mut merged = false;
         for b in (0..func.block_capacity()).map(BlockId::new) {
             if !func.is_block_alive(b) {
@@ -405,11 +262,6 @@ fn merge_straightline(
                 continue;
             }
             let p = row[0];
-            // The enabling condition reads only `b` and its unique
-            // predecessor — a change at either makes both candidates.
-            if !scope.allows(b) && !scope.allows(p) {
-                continue;
-            }
             if !func.is_block_alive(p) || func.succ_slice(p).len() != 1 {
                 continue;
             }
@@ -461,8 +313,8 @@ fn merge_straightline(
             break;
         }
     }
-    // No explicit invalidation: every mutation above is journaled, and the
-    // manager's read rule drops what it changed at the next query.
+    // No explicit invalidation: every mutation above moves the stamp, and
+    // the manager's read rule drops what it changed at the next query.
     changed
 }
 
@@ -473,7 +325,6 @@ fn elide_empty_blocks(
     func: &mut Function,
     am: &mut AnalysisManager,
     stats: &mut SimplifyStats,
-    scope: &mut ScopeState,
 ) -> bool {
     let mut changed = false;
     // Reachable-predecessor lists maintained locally across elisions, the
@@ -485,7 +336,6 @@ fn elide_empty_blocks(
     let cfg = am.get::<Cfg>(func);
     let mut local: Option<Vec<Vec<BlockId>>> = None;
     loop {
-        scope.refresh(func, am);
         let mut elided = false;
         'outer: for b in (0..func.block_capacity()).map(BlockId::new) {
             if !func.is_block_alive(b) {
@@ -505,11 +355,6 @@ fn elide_empty_blocks(
             let target = func.inst(t).succs[0];
             if target == b {
                 continue; // self-loop
-            }
-            // Feasibility reads `b`, its predecessors' edges and the φs of
-            // `target`; any enabling change dirties `b` or `target`.
-            if !scope.allows(b) && !scope.allows(target) {
-                continue;
             }
             let preds: Vec<BlockId> = match &local {
                 Some(t) => t[b.index()].clone(),
@@ -582,8 +427,8 @@ fn elide_empty_blocks(
             break;
         }
     }
-    // No explicit invalidation: every mutation above is journaled, and the
-    // manager's read rule drops what it changed at the next query.
+    // No explicit invalidation: every mutation above moves the stamp, and
+    // the manager's read rule drops what it changed at the next query.
     changed
 }
 

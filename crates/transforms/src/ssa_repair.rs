@@ -22,7 +22,7 @@ pub fn repair_ssa(func: &mut Function) -> usize {
 /// inserts φs and rewrites operands — the block graph is untouched — so one
 /// CFG + dominator-tree computation serves every repaired definition (the
 /// uncached version recomputes both per definition), and both stay valid in
-/// the cache for the caller. Instruction-sensitive analyses are dropped.
+/// the cache for the caller.
 pub fn repair_ssa_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
     darm_ir::fault::point("transforms::ssa-repair");
     let mut repaired = 0;
@@ -40,7 +40,6 @@ pub fn repair_ssa_with(func: &mut Function, am: &mut AnalysisManager) -> usize {
         };
         let df = frontiers.get_or_insert_with(|| dt.dominance_frontiers(&cfg));
         reconstruct(func, &cfg, &dt, df, def);
-        am.invalidate_values();
         repaired += 1;
     }
     repaired
